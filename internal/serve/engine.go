@@ -392,8 +392,11 @@ func (e *Engine) Injector() *resil.Injector { return e.inj }
 // Obs returns the engine's metrics registry (nil when disabled).
 func (e *Engine) Obs() *obs.Registry { return e.obs }
 
-// Perm returns a copy of the reordering permutation, so a second
-// engine over the same graph can skip the reordering run.
+// Perm returns a copy of the current epoch's reordering permutation,
+// so a second engine over the same graph can skip the reordering run.
+// On a mutable engine a repair swap or staleness rebuild in Mutate
+// replaces it: a second engine over the original graph must take it
+// before the first Mutate.
 func (e *Engine) Perm() []int { return append([]int(nil), e.perm...) }
 
 // ValidateRequest applies the full request invariants, including the

@@ -130,6 +130,10 @@ func TestMutationHammer(t *testing.T) {
 	// Twin: the expected probe checksum at EVERY epoch, applied
 	// batch by batch on an identical engine.
 	twin := mutableEngine(t, g, cfg)
+	// Taken before any twin.Mutate: a repair swap or staleness rebuild
+	// replaces twin.Perm(), and the live engine starts from the
+	// original graph.
+	perm0 := twin.Perm()
 	expected := make([]uint64, len(bs)+1)
 	expected[0] = twin.ServeBatch([]*Request{probe}, false)[0].Checksum()
 	for i, b := range bs {
@@ -139,7 +143,7 @@ func TestMutationHammer(t *testing.T) {
 		twin.WaitWarm()
 		expected[i+1] = twin.ServeBatch([]*Request{probe}, false)[0].Checksum()
 	}
-	cfg.Perm = twin.Perm() // skip the (identical) re-reorder
+	cfg.Perm = perm0 // the twin's epoch-0 permutation: skip the (identical) re-reorder
 
 	live := mutableEngine(t, g, cfg)
 	srv, err := NewServer(live, ServerConfig{QueueLimit: 64, DegradeDepth: 0})
