@@ -87,9 +87,9 @@ func run(workersFlag, in, gen string, n int, seed int64, maxN, width int, pat st
 		len(addrs), len(cl.LiveWorkers()), g.N(), width, maxN, p)
 
 	t0 := time.Now()
-	c, err := cl.DistributedSpMM(g, b, maxN, p, core.Options{}, distributed.DistConfig{
-		Retry:     resil.RetryPolicy{Max: retries},
-		SpecAfter: specAfter,
+	c, err := cl.DistributedSpMM(g, b, maxN, p, core.Options{}, distributed.FaultConfig{
+		Retry:          resil.RetryPolicy{Max: retries},
+		StragglerAfter: specAfter,
 	})
 	if err != nil {
 		return err

@@ -76,8 +76,8 @@ type Config struct {
 // that keep a full run in seconds on a laptop core.
 func DefaultConfig() Config {
 	return Config{
-		Seed:    20250806,
-		Widths:  []int{64, 128},
+		Seed:   20250806,
+		Widths: []int{64, 128},
 		Graphs: []GraphSpec{
 			{Name: "er-8k", Family: "er", N: 8192, Degree: 8},
 			{Name: "powerlaw-8k", Family: "powerlaw", N: 8192, Degree: 8},

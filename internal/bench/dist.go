@@ -299,7 +299,7 @@ func runDistExec(cfg DistBenchConfig) ([]DistExecResult, error) {
 		distNs := float64(0)
 		for r := 0; r < cfg.Repeats; r++ {
 			t0 := time.Now()
-			c, err := cl.DistributedSpMM(g, b, cfg.MaxN, cfg.Pattern, core.Options{}, distributed.DistConfig{})
+			c, err := cl.DistributedSpMM(g, b, cfg.MaxN, cfg.Pattern, core.Options{}, distributed.FaultConfig{})
 			if err != nil {
 				return nil, err
 			}

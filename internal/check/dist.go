@@ -41,7 +41,7 @@ func DistEquivalence(g *graph.Graph, b *dense.Matrix, maxN int, p pattern.VNM, o
 		return fmt.Errorf("check: dial loopback cluster: %w", err)
 	}
 	defer cl.Close()
-	got, err := cl.DistributedSpMM(g, b, maxN, p, opt, distributed.DistConfig{
+	got, err := cl.DistributedSpMM(g, b, maxN, p, opt, distributed.FaultConfig{
 		Retry: resil.RetryPolicy{Backoff: -1},
 	})
 	if err != nil {

@@ -240,6 +240,30 @@ func (m *Matrix) Transpose() *Matrix {
 	return out
 }
 
+// Equal reports whether m and o are bitwise identical: same size, row
+// pointers, column indices and value bits.
+func (m *Matrix) Equal(o *Matrix) bool {
+	if m.N != o.N || len(m.RowPtr) != len(o.RowPtr) || len(m.ColIdx) != len(o.ColIdx) || len(m.Val) != len(o.Val) {
+		return false
+	}
+	for i, v := range m.RowPtr {
+		if o.RowPtr[i] != v {
+			return false
+		}
+	}
+	for i, c := range m.ColIdx {
+		if o.ColIdx[i] != c {
+			return false
+		}
+	}
+	for i, v := range m.Val {
+		if math.Float32bits(o.Val[i]) != math.Float32bits(v) {
+			return false
+		}
+	}
+	return true
+}
+
 // SymNormalized returns D^{-1/2} (A + I) D^{-1/2}, the GCN-style
 // symmetric normalization with self-loops, where D is the degree matrix
 // of A + I.

@@ -6,14 +6,13 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dense"
 	"repro/internal/graph"
-	"repro/internal/obs"
 	"repro/internal/pattern"
 	"repro/internal/resil"
+	"repro/internal/sched"
 	"repro/internal/shard"
 )
 
@@ -90,26 +89,6 @@ func (r *ring) candidates(key string) []int {
 		}
 	}
 	return out
-}
-
-// DistConfig tunes the coordinator's resilience machinery.
-type DistConfig struct {
-	// Retry bounds per-partition dispatch attempts across workers.
-	Retry resil.RetryPolicy
-	// SpecAfter is the straggler deadline: a partition not returned
-	// within it gets a backup dispatch on the next ring candidate
-	// (resil.Speculate semantics; 0 disables).
-	SpecAfter time.Duration
-	// Obs charges coordinator counters (volatile: whether a retry or
-	// re-dispatch fires depends on timing and which worker died).
-	Obs *obs.Registry
-}
-
-func (c DistConfig) registry() *obs.Registry {
-	if c.Obs != nil {
-		return c.Obs
-	}
-	return obs.NewRegistry()
 }
 
 // Cluster is a coordinator's view of a set of worker processes.
@@ -200,26 +179,20 @@ func (c *Cluster) call(wi int, method string, args, reply any) error {
 
 // DistributedSpMM computes C = A x B across the cluster's worker
 // processes, bit-identical to the in-process PartitionedSpMM: the
-// same BFS partitioning, the same pure per-partition pipeline (run
-// remotely), the same disjoint-row scatter, the same local
-// cross-partition pass. Workers receive the graph as a checksummed
+// same partitioned pipeline (runPartitioned), with each partition's
+// pure diagonal-block computation run remotely, one dispatch in
+// flight per partition. Workers receive the graph as a checksummed
 // sogre-shard/v1 encoding; every partial result is checksummed at the
-// worker and re-verified here before it may touch C. Dead workers,
-// stragglers, and corrupted transfers are routed around via the
-// consistent-hash fallback sequence; if every worker dies, the
-// affected partitions are computed locally — recovery in every case
-// leaves no trace in the result bits, because the partition function
-// is pure (check.FaultEquivalence standard).
-func (c *Cluster) DistributedSpMM(g *graph.Graph, b *dense.Matrix, maxN int, p pattern.VNM, opt core.Options, cfg DistConfig) (*dense.Matrix, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	n := g.N()
-	if b.Rows != n {
-		return nil, fmt.Errorf("distributed: B has %d rows, want %d", b.Rows, n)
-	}
-	reg := cfg.registry()
-
+// worker and re-verified here before it may touch C. Each dispatch
+// runs under fc's guard (sites "partition" and "partition/xfer"):
+// dead workers, stragglers, and corrupted transfers are routed around
+// via the consistent-hash fallback sequence; if every attempt fails,
+// the partition is computed locally — recovery in every case leaves
+// no trace in the result bits, because the partition function is pure
+// (check.FaultEquivalence standard). Coordinator counters (dist/*,
+// resil/*) go to fc.Inj's registry.
+func (c *Cluster) DistributedSpMM(g *graph.Graph, b *dense.Matrix, maxN int, p pattern.VNM, opt core.Options, fc FaultConfig) (*dense.Matrix, error) {
+	reg := fc.Inj.Obs()
 	enc, err := shard.EncodeGraph(g)
 	if err != nil {
 		return nil, err
@@ -242,7 +215,7 @@ func (c *Cluster) DistributedSpMM(g *graph.Graph, b *dense.Matrix, maxN int, p p
 				reg.Volatile("dist/load_failed").Inc()
 				return
 			}
-			if reply.GraphSum != load.GraphSum || reply.BSum != load.BSum || reply.N != n {
+			if reply.GraphSum != load.GraphSum || reply.BSum != load.BSum || reply.N != g.N() {
 				c.mu.Lock()
 				c.dead[wi] = true
 				c.mu.Unlock()
@@ -252,50 +225,23 @@ func (c *Cluster) DistributedSpMM(g *graph.Graph, b *dense.Matrix, maxN int, p p
 	}
 	wg.Wait()
 
-	parts := core.BFSPartition(g, maxN)
-	partOf := make([]int32, n)
-	for pi, part := range parts {
-		for _, v := range part {
-			partOf[v] = int32(pi)
-		}
-	}
-
-	cOut := dense.NewMatrix(n, b.Cols)
-	errs := make([]error, len(parts))
-	for pi := range parts {
-		wg.Add(1)
-		go func(pi int) {
-			defer wg.Done()
-			reply, err := c.computeRemote(pi, parts[pi], g, b, p, opt, cfg, reg, load.GraphSum, load.BSum)
-			if err != nil {
-				errs[pi] = err
-				return
-			}
-			for j, r := range reply.Rows {
-				copy(cOut.Row(r), reply.Data[j*reply.Cols:(j+1)*reply.Cols])
-			}
-		}(pi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	crossPartitionPass(g, b, cOut, partOf)
-	return cOut, nil
+	return runPartitioned(g, b, maxN, p, func(n int, fn func(int)) error {
+		return sched.New(n).Run(n, fn)
+	}, func(pi int, part []int) ([]int, []float32, error) {
+		return c.computeRemote(pi, part, g, b, p, opt, fc, load.GraphSum, load.BSum)
+	})
 }
 
-// computeRemote dispatches one partition with the full resilience
-// stack: consistent-hash candidate order, bounded retries that walk
-// the fallback sequence, speculative backup dispatch for stragglers,
+// computeRemote dispatches one partition under fc's guard:
+// consistent-hash candidate order, bounded retries that walk the
+// fallback sequence, speculative backup dispatch for stragglers,
 // receiver-side checksum and row-coverage verification, and local
-// recomputation as the last resort.
+// recomputation as the last resort. It returns the partition's global
+// rows and their values.
 func (c *Cluster) computeRemote(pi int, part []int, g *graph.Graph, b *dense.Matrix,
-	p pattern.VNM, opt core.Options, cfg DistConfig, reg *obs.Registry,
-	graphSum, bSum uint64) (*ComputeReply, error) {
+	p pattern.VNM, opt core.Options, fc FaultConfig, graphSum, bSum uint64) ([]int, []float32, error) {
 
+	reg := fc.Inj.Obs()
 	args := &ComputeArgs{
 		Part: part,
 		V:    p.V, N: p.N, M: p.M,
@@ -314,12 +260,9 @@ func (c *Cluster) computeRemote(pi int, part []int, g *graph.Graph, b *dense.Mat
 	// speculative-backup dispatches alike, so a backup never lands on
 	// the worker the primary is stuck on.
 	var next int64
-	dispatchOnce := func() (*ComputeReply, error) {
+	v, err := fc.guard("partition", func() (any, []float32, uint64, error) {
 		k := int(atomic.AddInt64(&next, 1)) - 1
 		live := c.LiveWorkers()
-		if len(live) == 0 {
-			return nil, ErrNoWorkers
-		}
 		// Walk the ring order, skipping dead workers; wrap by k so
 		// successive dispatches land on successive live candidates.
 		isLive := make(map[int]bool, len(live))
@@ -333,55 +276,33 @@ func (c *Cluster) computeRemote(pi int, part []int, g *graph.Graph, b *dense.Mat
 			}
 		}
 		if len(order) == 0 {
-			return nil, ErrNoWorkers
+			return nil, nil, 0, ErrNoWorkers
 		}
 		wi := order[k%len(order)]
 		reg.Volatile("dist/jobs").Inc()
 		var reply ComputeReply
 		if err := c.call(wi, "Worker.Compute", args, &reply); err != nil {
-			return nil, err
-		}
-		if got := resil.Checksum(reply.Data); got != reply.Checksum {
-			reg.Volatile("dist/checksum_reject").Inc()
-			return nil, &resil.ChecksumError{Site: fmt.Sprintf("dist/part/%d", pi), Want: reply.Checksum, Got: got}
+			return nil, nil, 0, err
 		}
 		if err := verifyRowCoverage(part, &reply, b.Cols); err != nil {
-			return nil, err
+			return nil, nil, 0, err
 		}
-		return &reply, nil
-	}
-
-	var out *ComputeReply
-	err := resil.Retry(cfg.Retry, reg, "dist/compute", func(attempt int) error {
-		v, err := resil.Speculate(cfg.SpecAfter, func() {
-			reg.Volatile("dist/redispatch").Inc()
-		}, func() (any, error) {
-			return dispatchOnce()
-		})
-		if err != nil {
-			return err
-		}
-		out = v.(*ComputeReply)
-		return nil
+		return &reply, reply.Data, reply.Checksum, nil
 	})
 	if err == nil {
-		return out, nil
+		reply := v.(*ComputeReply)
+		return reply.Rows, reply.Data, nil
 	}
 
 	// Last resort: every worker is gone (or every attempt failed
 	// verification). The pure local pipeline produces the exact bits a
 	// healthy worker would have — recovery leaves no trace.
 	reg.Volatile("dist/local_fallback").Inc()
-	localOut, lerr := computePartition(g, b, part, p, opt)
+	out, lerr := computePartition(g, b, part, p, opt)
 	if lerr != nil {
-		return nil, fmt.Errorf("distributed: partition %d failed remotely (%v) and locally: %w", pi, err, lerr)
+		return nil, nil, fmt.Errorf("distributed: partition %d failed remotely (%v) and locally: %w", pi, err, lerr)
 	}
-	return &ComputeReply{
-		Rows:     localOut.rows,
-		Data:     localOut.localC.Data,
-		Cols:     b.Cols,
-		Checksum: resil.Checksum(localOut.localC.Data),
-	}, nil
+	return out.rows, out.localC.Data, nil
 }
 
 // verifyRowCoverage checks a reply names exactly the partition's

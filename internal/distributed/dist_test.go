@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dense"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/pattern"
 	"repro/internal/resil"
 	"repro/internal/shard"
@@ -121,7 +122,7 @@ func TestDistributedSpMMMatchesInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	got, err := cl.DistributedSpMM(g, b, 128, p, core.Options{}, DistConfig{})
+	got, err := cl.DistributedSpMM(g, b, 128, p, core.Options{}, FaultConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestDistributedKillWorkerRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	got, err := cl.DistributedSpMM(g, b, 32, p, core.Options{}, DistConfig{
+	got, err := cl.DistributedSpMM(g, b, 32, p, core.Options{}, FaultConfig{
 		Retry: resil.RetryPolicy{Max: 4, Backoff: -1},
 	})
 	if err != nil {
@@ -194,7 +195,7 @@ func TestDistributedAllWorkersDead(t *testing.T) {
 	defer cl.Close()
 	worker.Process.Kill()
 	worker.Wait()
-	got, err := cl.DistributedSpMM(g, b, 128, p, core.Options{}, DistConfig{
+	got, err := cl.DistributedSpMM(g, b, 128, p, core.Options{}, FaultConfig{
 		Retry: resil.RetryPolicy{Max: 2, Backoff: -1},
 	})
 	if err != nil {
@@ -298,11 +299,104 @@ func TestLoopbackDistributedMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	got, err := cl.DistributedSpMM(g, b, 128, p, core.Options{}, DistConfig{})
+	got, err := cl.DistributedSpMM(g, b, 128, p, core.Options{}, FaultConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireSameBits(t, want, got, "loopback cluster vs in-process")
+}
+
+// loopbackCluster dials n in-process loopback workers; workers and
+// connections close at test cleanup.
+func loopbackCluster(t *testing.T, n int) *Cluster {
+	t.Helper()
+	var addrs []string
+	for i := 0; i < n; i++ {
+		addr, stop, err := StartLocalWorker(WorkerConfig{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(stop)
+		addrs = append(addrs, addr)
+	}
+	cl, err := Dial(addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	return cl
+}
+
+// TestLoopbackDistributedFaultRecovery: a crash and a transient at the
+// start of dispatch attempts and a corrupted reply on receipt are each
+// recovered by re-dispatch, so the result is bit-identical to
+// PartitionedSpMM and the deterministic fault counters record exactly
+// the plan: one injection and one retry per fault.
+func TestLoopbackDistributedFaultRecovery(t *testing.T) {
+	g, b, p := distFixture(t)
+	want, _, err := PartitionedSpMM(g, b, 128, p, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := loopbackCluster(t, 2)
+	reg := obs.NewRegistry()
+	plan := mustPlan(t, "seed=5; crash@partition:1; transient@partition:4; corrupt@partition/xfer:2")
+	// Partitions dispatch concurrently, so which partition draws each
+	// fault is timing-dependent; four attempts let one partition absorb
+	// all three faults without reaching the local fallback.
+	got, err := cl.DistributedSpMM(g, b, 128, p, core.Options{}, FaultConfig{
+		Inj:   resil.NewInjector(plan, reg),
+		Retry: resil.RetryPolicy{Max: 4, Backoff: -1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameBits(t, want, got, "faulted loopback cluster vs in-process")
+	snap := reg.Snapshot()
+	for _, kind := range []string{"crash", "transient", "corrupt"} {
+		if n := snap.Counters["resil/injected/"+kind]; n != 1 {
+			t.Errorf("resil/injected/%s = %d, want 1", kind, n)
+		}
+	}
+	if n := snap.Counters["resil/retries/partition"]; n != 3 {
+		t.Errorf("resil/retries/partition = %d, want 3 (one per injected fault)", n)
+	}
+	if n := snap.Volatile["dist/local_fallback"]; n != 0 {
+		t.Errorf("dist/local_fallback = %d, want 0", n)
+	}
+}
+
+// TestLoopbackDistributedRetryExhaustion: more crashes than the retry
+// budget on the only partition end in the coordinator's local
+// fallback, which still produces the in-process bits.
+func TestLoopbackDistributedRetryExhaustion(t *testing.T) {
+	g := graph.Banded(200, 2, 0.9, 3)
+	b := dense.NewMatrix(g.N(), 4)
+	b.Randomize(1, 2)
+	p := pattern.NM(2, 4)
+	// maxN above n: one partition, so both crashes hit its attempts.
+	want, _, err := PartitionedSpMM(g, b, 512, p, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := loopbackCluster(t, 2)
+	reg := obs.NewRegistry()
+	plan := mustPlan(t, "seed=1; crash@partition:1; crash@partition:2")
+	got, err := cl.DistributedSpMM(g, b, 512, p, core.Options{}, FaultConfig{
+		Inj:   resil.NewInjector(plan, reg),
+		Retry: resil.RetryPolicy{Max: 2, Backoff: -1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameBits(t, want, got, "retry-exhausted local fallback")
+	snap := reg.Snapshot()
+	if n := snap.Volatile["dist/local_fallback"]; n != 1 {
+		t.Errorf("dist/local_fallback = %d, want 1", n)
+	}
+	if n := snap.Counters["resil/injected/crash"]; n != 2 {
+		t.Errorf("resil/injected/crash = %d, want 2", n)
+	}
 }
 
 // TestRingConsistency pins the consistent-hash properties the

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -18,6 +17,7 @@ import (
 	"repro/internal/dense"
 	"repro/internal/gnn"
 	"repro/internal/graph"
+	"repro/internal/sched"
 	"repro/internal/sptc"
 )
 
@@ -119,8 +119,9 @@ type Result struct {
 }
 
 // Run executes the pipeline on graph g: sample -> (offline) reorder ->
-// per-worker SGC forward on both engines; aggregates modeled cycles
-// across workers.
+// SGC forward on both engines, with samples spread over cfg.Workers
+// workers; aggregates modeled cycles over the samples in sample order,
+// so the result does not depend on scheduling.
 func Run(name string, g *graph.Graph, cfg PipelineConfig) (*Result, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
@@ -140,84 +141,60 @@ func Run(name string, g *graph.Graph, cfg PipelineConfig) (*Result, error) {
 	if cfg.CostModel.FragRows == 0 {
 		cfg.CostModel = sptc.DefaultCostModel()
 	}
+	// One result slot per sample, folded in sample order below, so the
+	// float64 totals do not depend on which worker finishes first.
+	type outcome struct {
+		bAgg, bTot, rAgg, rTot float64
+		size                   int
+		conformed, fallback    bool
+		reorder                time.Duration
+		err                    error
+	}
+	outs := make([]outcome, cfg.Samples)
+	if err := sched.New(cfg.Workers).Run(cfg.Samples, func(s int) {
+		o := &outs[s]
+		sub := NeighborSample(g, cfg.Sampler, s).G
+		// Offline: reorder this sample.
+		t0 := time.Now()
+		auto, subR, err := reorderSample(sub, cfg.AutoOpt)
+		if err != nil {
+			o.err = err
+			return
+		}
+		o.reorder = time.Since(t0)
+		x := dense.NewMatrix(sub.N(), cfg.Features)
+		x.Randomize(1, cfg.RandomSeed+int64(s))
+		o.bAgg, o.bTot = runSGC(sub, x, cfg, gnn.EngineCSR, auto)
+		o.rAgg, o.rTot = runSGC(subR, x, cfg, gnn.EngineSPTC, auto)
+		if o.rAgg >= o.bAgg {
+			// Offline decision: this sample is unsuitable for SPTC
+			// execution; keep the CSR path.
+			o.rAgg, o.rTot = o.bAgg, o.bTot
+			o.fallback = true
+		}
+		o.size = sub.N()
+		o.conformed = auto.Best.Conforming()
+	}); err != nil {
+		return nil, err
+	}
 	res := &Result{Dataset: name, Samples: cfg.Samples}
-	type job struct {
-		sample Sample
-	}
-	jobs := make(chan job, cfg.Samples)
-	var mu sync.Mutex
-	var baseAgg, baseTotal, revAgg, revTotal float64
-	var sizeSum float64
-	var conformed, fallbacks int
-	var reorderTotal time.Duration
-	var firstErr error
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func(workerID int) {
-			defer wg.Done()
-			for j := range jobs {
-				sub := j.sample.G
-				// Offline: reorder this sample.
-				t0 := time.Now()
-				bm := sub.ToBitMatrix()
-				for i := 0; i < bm.N(); i++ {
-					bm.Set(i, i)
-				}
-				auto, err := core.AutoReorder(bm, cfg.AutoOpt)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					continue
-				}
-				reorderDur := time.Since(t0)
-				subR, err := sub.ApplyPermutation(auto.Best.Perm)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					continue
-				}
-				x := dense.NewMatrix(sub.N(), cfg.Features)
-				x.Randomize(1, cfg.RandomSeed+int64(workerID))
-				bAgg, bTot := runSGC(sub, x, cfg, gnn.EngineCSR, auto)
-				rAgg, rTot := runSGC(subR, x, cfg, gnn.EngineSPTC, auto)
-				fallback := false
-				if rAgg >= bAgg {
-					// Offline decision: this sample is unsuitable for
-					// SPTC execution; keep the CSR path.
-					rAgg, rTot = bAgg, bTot
-					fallback = true
-				}
-				mu.Lock()
-				baseAgg += bAgg
-				baseTotal += bTot
-				revAgg += rAgg
-				revTotal += rTot
-				sizeSum += float64(sub.N())
-				if auto.Best.Conforming() {
-					conformed++
-				}
-				if fallback {
-					fallbacks++
-				}
-				reorderTotal += reorderDur
-				mu.Unlock()
-			}
-		}(w)
-	}
-	for s := 0; s < cfg.Samples; s++ {
-		jobs <- job{sample: NeighborSample(g, cfg.Sampler, s)}
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	var baseAgg, baseTotal, revAgg, revTotal, sizeSum float64
+	for _, o := range outs {
+		if o.err != nil {
+			return nil, o.err
+		}
+		baseAgg += o.bAgg
+		baseTotal += o.bTot
+		revAgg += o.rAgg
+		revTotal += o.rTot
+		sizeSum += float64(o.size)
+		if o.conformed {
+			res.ConformedCount++
+		}
+		if o.fallback {
+			res.FallbackCount++
+		}
+		res.ReorderTime += o.reorder
 	}
 	if revAgg == 0 || revTotal == 0 {
 		return nil, fmt.Errorf("distributed: no samples processed")
@@ -225,10 +202,26 @@ func Run(name string, g *graph.Graph, cfg PipelineConfig) (*Result, error) {
 	res.AvgSampleSize = sizeSum / float64(cfg.Samples)
 	res.LYRSpeedup = baseAgg / revAgg
 	res.ALLSpeedup = baseTotal / revTotal
-	res.ConformedCount = conformed
-	res.FallbackCount = fallbacks
-	res.ReorderTime = reorderTotal
 	return res, nil
+}
+
+// reorderSample is the offline step every sampled pipeline shares:
+// AutoReorder the sample's self-looped adjacency and relabel the
+// sample by the winning permutation.
+func reorderSample(sub *graph.Graph, opt core.AutoOptions) (*core.AutoResult, *graph.Graph, error) {
+	bm := sub.ToBitMatrix()
+	for i := 0; i < bm.N(); i++ {
+		bm.Set(i, i)
+	}
+	auto, err := core.AutoReorder(bm, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	subR, err := sub.ApplyPermutation(auto.Best.Perm)
+	if err != nil {
+		return nil, nil, err
+	}
+	return auto, subR, nil
 }
 
 // runSGC runs one SGC forward pass on the chosen engine and returns

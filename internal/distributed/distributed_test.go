@@ -83,6 +83,18 @@ func TestPipelineRun(t *testing.T) {
 	if res.ReorderTime <= 0 {
 		t.Error("reorder time missing")
 	}
+	// Per-sample results fold in sample order, so the worker count
+	// leaves every modeled figure bit-identical.
+	cfg.Workers = 1
+	serial, err := Run("test-banded", g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if serial.AvgSampleSize != res.AvgSampleSize || serial.LYRSpeedup != res.LYRSpeedup ||
+		serial.ALLSpeedup != res.ALLSpeedup || serial.ConformedCount != res.ConformedCount ||
+		serial.FallbackCount != res.FallbackCount {
+		t.Errorf("1 worker %+v differs from 4 workers %+v", serial, res)
+	}
 }
 
 func TestPipelineDefaults(t *testing.T) {

@@ -5,26 +5,27 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dense"
 	"repro/internal/gnn"
 	"repro/internal/graph"
-	"repro/internal/pattern"
 	"repro/internal/resil"
 	"repro/internal/sched"
 )
 
 // FaultConfig threads the internal/resil fault-injection and recovery
-// layer through the distributed pipeline. The zero value disables the
-// whole machinery: every guarded call collapses to the plain code path
-// at the cost of one struct comparison, so the fault-free hot path is
-// unchanged.
+// layer through the distributed pipeline. For sampled training the zero
+// value disables the whole machinery: every guarded call collapses to
+// the plain code path at the cost of one struct comparison, so the
+// fault-free hot path is unchanged. The RPC coordinator
+// (Cluster.DistributedSpMM) always guards, because transport failures
+// happen with no injector armed; there the zero value means resil's
+// default retry policy and no speculation.
 //
 // Injection sites fired by this package (occurrences count per site, in
 // execution order):
 //
-//	partition       one Begin per per-partition attempt (PartitionedSpMMFaults)
-//	partition/xfer  one Corrupt per computed partition partial result
+//	partition       one Begin per partition dispatch attempt (Cluster.DistributedSpMM)
+//	partition/xfer  one Corrupt per received partition reply
 //	sample          one Begin per sample-propagation attempt (TrainSampledSGC)
 //	sample/xfer     one Corrupt per propagated sample result
 //	venom/meta      one Begin per SPTC operator validation (a transient
@@ -74,88 +75,38 @@ func degradable(err error) bool {
 	return errors.As(err, &pe) || errors.As(err, &te)
 }
 
-// PartitionedSpMMFaults is PartitionedSpMM with the fault layer
-// engaged: each partition's diagonal-block computation runs as a
-// protected attempt (crash events and tile panics are contained as
-// errors), its partial result is checksummed at the source and verified
-// after the simulated transfer (an injected corruption fails
-// verification and forces a recompute), attempts retry under fc.Retry's
-// deterministic policy, and a straggling partition is speculatively
-// re-dispatched after fc.StragglerAfter. Recovery recomputes a pure
-// function, so the returned matrix is bit-identical to the fault-free
-// PartitionedSpMM result.
-func PartitionedSpMMFaults(g *graph.Graph, b *dense.Matrix, maxN int, p pattern.VNM, opt core.Options, fc FaultConfig) (*dense.Matrix, []*core.Result, error) {
-	if !fc.enabled() {
-		return PartitionedSpMM(g, b, maxN, p, opt)
-	}
-	if err := p.Validate(); err != nil {
-		return nil, nil, err
-	}
-	n := g.N()
-	if b.Rows != n {
-		return nil, nil, fmt.Errorf("distributed: B has %d rows, want %d", b.Rows, n)
-	}
-	parts := core.BFSPartition(g, maxN)
-	c := dense.NewMatrix(n, b.Cols)
-	results := make([]*core.Result, len(parts))
-	partOf := make([]int32, n)
-	for pi, part := range parts {
-		for _, v := range part {
-			partOf[v] = int32(pi)
-		}
-	}
-	pool := opt.ExecutionPool()
-	// Attempts may recompute (retry) or duplicate (speculation), so the
-	// per-partition compute runs without an observability registry —
-	// the deterministic fault accounting (resil/injected, resil/retries)
-	// is charged by the resil layer against the injector's registry.
-	copt := opt
-	copt.Obs = nil
-	copt.Pool = pool.WithObs(nil)
+// guard runs attempt under the recovery stack shared by every
+// guarded transfer: bounded retry around speculative re-dispatch, one
+// Inj.Begin(site) at the start of each attempt, and on receipt an
+// Inj.Corrupt(site+"/xfer") of the attempt's payload followed by a
+// check against the checksum the sender computed — a mismatch is a
+// *resil.ChecksumError and the attempt's value is never returned.
+// Retries charge "resil/retries/<site>" and speculative backups
+// "resil/redispatch/<site>" on the injector's registry.
+func (fc FaultConfig) guard(site string, attempt func() (v any, payload []float32, sum uint64, err error)) (any, error) {
 	robs := fc.Inj.Obs()
-	errs := make([]error, len(parts))
-	runErr := pool.Run(len(parts), func(pi int) {
-		errs[pi] = resil.Retry(fc.Retry, robs, "partition", func(int) error {
-			v, err := resil.Speculate(fc.StragglerAfter, func() {
-				robs.Volatile("resil/redispatch/partition").Inc()
-			}, func() (any, error) {
-				if err := fc.Inj.Begin("partition"); err != nil {
-					return nil, err
-				}
-				out, err := computePartition(g, b, parts[pi], p, copt)
-				if err != nil {
-					return nil, err
-				}
-				// Simulated transfer of the partial result: checksum at
-				// the source, corrupt in transit, verify at the receiver.
-				want := resil.Checksum(out.localC.Data)
-				fc.Inj.Corrupt("partition/xfer", out.localC.Data)
-				if got := resil.Checksum(out.localC.Data); got != want {
-					return nil, &resil.ChecksumError{Site: "partition/xfer", Want: want, Got: got}
-				}
-				return out, nil
-			})
-			if err != nil {
-				return err
+	var won any
+	err := resil.Retry(fc.Retry, robs, site, func(int) error {
+		v, err := resil.Speculate(fc.StragglerAfter, func() {
+			robs.Volatile("resil/redispatch/" + site).Inc()
+		}, func() (any, error) {
+			if err := fc.Inj.Begin(site); err != nil {
+				return nil, err
 			}
-			// Commit only a verified result; partitions own disjoint
-			// global rows.
-			out := v.(*partOut)
-			results[pi] = out.res
-			out.scatter(c)
-			return nil
+			v, payload, sum, err := attempt()
+			if err != nil {
+				return nil, err
+			}
+			fc.Inj.Corrupt(site+"/xfer", payload)
+			if got := resil.Checksum(payload); got != sum {
+				return nil, &resil.ChecksumError{Site: site + "/xfer", Want: sum, Got: got}
+			}
+			return v, nil
 		})
+		won = v
+		return err
 	})
-	if runErr != nil {
-		return nil, nil, runErr
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	crossPartitionPass(g, b, c, partOf)
-	return c, results, nil
+	return won, err
 }
 
 // propagateProtected runs one sample's propagation under the fault
@@ -182,33 +133,16 @@ func propagateProtected(s Sample, g *graph.Graph, x *dense.Matrix, cfg TrainSamp
 		prop *dense.Matrix
 		led  *gnn.Ledger
 	}
-	var won propOut
-	err := resil.Retry(fc.Retry, robs, "sample", func(int) error {
-		v, err := resil.Speculate(fc.StragglerAfter, func() {
-			robs.Volatile("resil/redispatch/sample").Inc()
-		}, func() (any, error) {
-			if err := fc.Inj.Begin("sample"); err != nil {
-				return nil, err
-			}
-			local := &gnn.Ledger{}
-			prop, err := propagateSample(s, g, x, acfg, local)
-			if err != nil {
-				return nil, err
-			}
-			want := resil.Checksum(prop.Data)
-			fc.Inj.Corrupt("sample/xfer", prop.Data)
-			if got := resil.Checksum(prop.Data); got != want {
-				return nil, &resil.ChecksumError{Site: "sample/xfer", Want: want, Got: got}
-			}
-			return propOut{prop: prop, led: local}, nil
-		})
+	v, err := fc.guard("sample", func() (any, []float32, uint64, error) {
+		local := &gnn.Ledger{}
+		prop, err := propagateSample(s, g, x, acfg, local)
 		if err != nil {
-			return err
+			return nil, nil, 0, err
 		}
-		won = v.(propOut)
-		return nil
+		return propOut{prop: prop, led: local}, prop.Data, resil.Checksum(prop.Data), nil
 	})
 	if err == nil {
+		won := v.(propOut)
 		ledger.Merge(won.led)
 		return won.prop, nil
 	}

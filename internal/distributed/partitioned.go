@@ -23,73 +23,87 @@ import (
 //
 // Returns the result and the per-partition reorder outcomes.
 func PartitionedSpMM(g *graph.Graph, b *dense.Matrix, maxN int, p pattern.VNM, opt core.Options) (*dense.Matrix, []*core.Result, error) {
-	if err := p.Validate(); err != nil {
+	// Diagonal blocks fan out on the execution pool (one simulated
+	// device each) — a bounded worker set rather than a goroutine per
+	// partition, shared with each partition's internal reordering
+	// phases.
+	pool := opt.ExecutionPool()
+	if opt.Pool == nil {
+		opt.Pool = pool
+	}
+	var results []*core.Result
+	c, err := runPartitioned(g, b, maxN, p, func(n int, fn func(int)) error {
+		// The partition count is known only here, before any compute.
+		results = make([]*core.Result, n)
+		return pool.Run(n, fn)
+	}, func(pi int, part []int) ([]int, []float32, error) {
+		out, err := computePartition(g, b, part, p, opt)
+		if err != nil {
+			return nil, nil, err
+		}
+		results[pi] = out.res
+		return out.rows, out.localC.Data, nil
+	})
+	if err != nil {
 		return nil, nil, err
+	}
+	return c, results, nil
+}
+
+// runPartitioned is the Section 4.4 pipeline both PartitionedSpMM and
+// Cluster.DistributedSpMM run: BFS-partition the vertex set, hand
+// partition pi to compute through fanout (which must call fn once for
+// every index in [0, n) and return when all calls have), scatter each
+// returned block — data holds one b.Cols-wide row per entry of rows,
+// the block's global target rows — into C, then add the
+// cross-partition edges. Scatters run concurrently: partitions own
+// disjoint rows.
+func runPartitioned(g *graph.Graph, b *dense.Matrix, maxN int, p pattern.VNM,
+	fanout func(n int, fn func(pi int)) error,
+	compute func(pi int, part []int) (rows []int, data []float32, err error)) (*dense.Matrix, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
 	}
 	n := g.N()
 	if b.Rows != n {
-		return nil, nil, fmt.Errorf("distributed: B has %d rows, want %d", b.Rows, n)
+		return nil, fmt.Errorf("distributed: B has %d rows, want %d", b.Rows, n)
 	}
 	parts := core.BFSPartition(g, maxN)
-	c := dense.NewMatrix(n, b.Cols)
-	results := make([]*core.Result, len(parts))
-
-	// Mark each vertex's partition for the cross-edge pass.
 	partOf := make([]int32, n)
 	for pi, part := range parts {
 		for _, v := range part {
 			partOf[v] = int32(pi)
 		}
 	}
-
-	// Diagonal blocks: reorder + compress + SPTC kernel, fanned out on
-	// the execution pool (one simulated device each) — a bounded worker
-	// set rather than a goroutine per partition, shared with each
-	// partition's internal reordering phases.
-	pool := opt.ExecutionPool()
-	if opt.Pool == nil {
-		opt.Pool = pool
-	}
+	c := dense.NewMatrix(n, b.Cols)
 	errs := make([]error, len(parts))
-	runErr := pool.Run(len(parts), func(pi int) {
-		out, err := computePartition(g, b, parts[pi], p, opt)
+	if err := fanout(len(parts), func(pi int) {
+		rows, data, err := compute(pi, parts[pi])
 		if err != nil {
 			errs[pi] = err
 			return
 		}
-		results[pi] = out.res
-		out.scatter(c)
-	})
-	if runErr != nil {
-		return nil, nil, runErr
+		for j, r := range rows {
+			copy(c.Row(r), data[j*b.Cols:(j+1)*b.Cols])
+		}
+	}); err != nil {
+		return nil, err
 	}
 	for _, err := range errs {
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-
 	crossPartitionPass(g, b, c, partOf)
-	return c, results, nil
+	return c, nil
 }
 
-// partOut is one partition's computed contribution, held apart from the
-// shared output matrix so the fault-injection path can verify it (and
-// discard a corrupted copy) before committing — the "partial result in
-// transit" of the paper's distributed setting.
+// partOut is one partition's computed diagonal-block contribution:
+// localC's row j belongs on global row rows[j].
 type partOut struct {
 	res    *core.Result
 	localC *dense.Matrix
-	rows   []int // rows[j] is local row j's global target row
-}
-
-// scatter commits the partition's rows into the global result. Safe to
-// run concurrently across partitions: partitions own disjoint global
-// rows.
-func (o *partOut) scatter(c *dense.Matrix) {
-	for j, r := range o.rows {
-		copy(c.Row(r), o.localC.Row(j))
-	}
+	rows   []int
 }
 
 // computePartition is the pure per-partition diagonal-block pipeline:

@@ -171,15 +171,7 @@ func propagateSample(s Sample, g *graph.Graph, x *dense.Matrix, cfg TrainSampled
 	sub := s.G
 	orig := s.Orig
 	if cfg.Engine == gnn.EngineSPTC {
-		bm := sub.ToBitMatrix()
-		for i := 0; i < bm.N(); i++ {
-			bm.Set(i, i)
-		}
-		auto, err := core.AutoReorder(bm, cfg.AutoOpt)
-		if err != nil {
-			return nil, err
-		}
-		subR, err := sub.ApplyPermutation(auto.Best.Perm)
+		auto, subR, err := reorderSample(sub, cfg.AutoOpt)
 		if err != nil {
 			return nil, err
 		}
@@ -240,4 +232,3 @@ func propagateCSR(s Sample, x *dense.Matrix, cfg TrainSampledConfig, ledger *gnn
 	}
 	return h, nil
 }
-

@@ -186,8 +186,18 @@ func (f *Factory) Make(w *csr.Matrix) (Operator, error) {
 	case EngineAuto:
 		return newPlannedOperator(w, f.Pattern, f.Cost, f.Ledger, pool, f.Calib), nil
 	default:
-		return &csrOperator{w: w, wt: w.Transpose(), cost: f.Cost, ledger: f.Ledger, pool: pool}, nil
+		return &csrOperator{w: w, wt: transposeOrSelf(w), cost: f.Cost, ledger: f.Ledger, pool: pool}, nil
 	}
+}
+
+// transposeOrSelf returns wᵀ, or w itself when the transpose is bitwise
+// equal to w (a symmetric operator such as csr.SymNormalized), so the
+// caller can build one set of operands for both directions.
+func transposeOrSelf(w *csr.Matrix) *csr.Matrix {
+	if wt := w.Transpose(); !wt.Equal(w) {
+		return wt
+	}
+	return w
 }
 
 // ValidateOperator checks the structural invariants of an operator's
@@ -249,10 +259,11 @@ func newSPTCOperator(w *csr.Matrix, p pattern.VNM, cost sptc.CostModel, ledger *
 	if err != nil {
 		return nil, err
 	}
-	wt := w.Transpose()
-	compT, resT, err := venom.SplitToConform(wt, p)
-	if err != nil {
-		return nil, err
+	compT, resT := comp, res
+	if wt := transposeOrSelf(w); wt != w {
+		if compT, resT, err = venom.SplitToConform(wt, p); err != nil {
+			return nil, err
+		}
 	}
 	return &sptcOperator{
 		comp: comp, compT: compT,
@@ -324,14 +335,15 @@ type plannedDispatch struct {
 // that direction to CSR-only operands — the planner then simply never
 // ranks the hybrid classes — instead of failing the factory.
 func newPlannedOperator(w *csr.Matrix, p pattern.VNM, cost sptc.CostModel, ledger *Ledger, pool *sched.Pool, cal *plan.Calibration) *plannedOperator {
-	wt := w.Transpose()
 	fwd, err := plan.Prepare(w, p)
 	if err != nil {
 		fwd = plan.Operands{A: w.Compact()}
 	}
-	bwd, err := plan.Prepare(wt, p)
-	if err != nil {
-		bwd = plan.Operands{A: wt.Compact()}
+	bwd := fwd
+	if wt := transposeOrSelf(w); wt != w {
+		if bwd, err = plan.Prepare(wt, p); err != nil {
+			bwd = plan.Operands{A: wt.Compact()}
+		}
 	}
 	return &plannedOperator{
 		fwd: fwd, bwd: bwd,

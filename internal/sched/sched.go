@@ -146,8 +146,8 @@ func (p *Pool) Options(totalCost int64) TileOptions {
 // half-steals linearize on one CAS. Indices only move inward, so there
 // is no ABA hazard. The pad keeps hot spans on distinct cache lines.
 type span struct {
-	hl  atomic.Uint64 // head<<32 | tail, both indices into [0, n)
-	_   [56]byte
+	hl atomic.Uint64 // head<<32 | tail, both indices into [0, n)
+	_  [56]byte
 }
 
 func pack(h, t uint32) uint64 { return uint64(h)<<32 | uint64(t) }
@@ -297,7 +297,7 @@ func (p *Pool) Run(n int, fn func(i int)) error {
 			executed := 0
 			defer func() {
 				if p.obs != nil {
-					p.obs.Volatile("sched/worker/"+strconv.Itoa(self)+"/executed").Add(int64(executed))
+					p.obs.Volatile("sched/worker/" + strconv.Itoa(self) + "/executed").Add(int64(executed))
 				}
 			}()
 			for {

@@ -12,6 +12,14 @@ COVER_FLOOR=86   # percent, for internal/check
 echo "== go vet =="
 go vet ./...
 
+echo "== gofmt =="
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "FAIL: files not gofmt-clean:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
+
 echo "== kernel-package purity lint (no package-level vars) =="
 # The scheduler's determinism contract forbids mutable package-level
 # state in kernel code paths: a package-level var is either shared
