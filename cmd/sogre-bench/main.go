@@ -28,7 +28,8 @@
 // batch-size distribution, and a per-row response-set checksum that
 // must match between the batched and singleton rows (and across
 // runs) — the serving layer's bit-purity claim, re-checked at bench
-// time.
+// time. Its per-dispatch rows time one band dispatch on graphs of N,
+// 4N and 16N nodes (2k, 8k and 32k) at fixed shard rows.
 //
 // The mutate suite prices the durable online-mutation path
 // (internal/wal + serve.Mutate, DESIGN.md §15), writing
@@ -288,6 +289,10 @@ func runServe(seed int64, repeats int, canonical bool) ([]byte, string, error) {
 		fmt.Printf("%-8d %-10s %-9d %12.0f %12.0f %10.1f %11.2f %9d  %s\n",
 			r.Clients, r.Coalesce, r.Requests, r.P50Ns, r.P99Ns, r.ThroughputRPS,
 			r.BatchMean, r.BatchMax, r.Checksum)
+	}
+	fmt.Printf("\n%-8s %-10s %-10s %14s %12s  %s\n", "n", "shard rows", "dispatches", "median ns", "iqr ns", "checksum")
+	for _, d := range suite.Dispatch {
+		fmt.Printf("%-8d %-10d %-10d %14.0f %12.0f  %s\n", d.N, d.ShardRows, d.Dispatches, d.MedianNs, d.IQRNs, d.Checksum)
 	}
 	if canonical {
 		suite = bench.CanonicalServe(suite)

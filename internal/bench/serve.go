@@ -30,6 +30,10 @@ import (
 // shard-dispatch dedup — the quantity the serving layer exists to
 // win.
 //
+// The per-dispatch rows time one band dispatch on graphs of N, 4N and
+// 16N nodes at fixed ShardRows: the cost of answering a one-node request
+// should follow the band it dispatches, not the graph it sits in.
+//
 // Reproducibility contract: for a fixed ServeBenchConfig the rows'
 // requests/rows/checksum fields are byte-identical across runs and
 // across the batched/singleton pair (responses are pure functions of
@@ -131,6 +135,22 @@ type ServeResult struct {
 	BatchMax int64 `json:"batch_max"`
 }
 
+// ServeDispatchResult is one per-dispatch row: one-node ServeBatch
+// calls on an n-node graph, one per band in band order, each exactly
+// one band dispatch (row cache off, every shard handle already built).
+// The graph keeps its generated numbering: the row measures what a
+// dispatch costs against graph size, not how well the graph reorders.
+// MedianNs and IQRNs are zeroed by CanonicalServe.
+type ServeDispatchResult struct {
+	N          int `json:"n"`
+	ShardRows  int `json:"shard_rows"`
+	Dispatches int `json:"dispatches"` // timed one-node batches
+	// Checksum is the sum of the timed responses' checksums, in hex.
+	Checksum string  `json:"checksum"`
+	MedianNs float64 `json:"median_ns"`
+	IQRNs    float64 `json:"iqr_ns"`
+}
+
 // ServeSuite is the full serving benchmark output.
 type ServeSuite struct {
 	Schema     string        `json:"schema"`
@@ -142,6 +162,8 @@ type ServeSuite struct {
 	Pattern    string        `json:"pattern"`
 	GoMaxProcs int           `json:"gomaxprocs"`
 	Results    []ServeResult `json:"results"`
+	// Dispatch holds the per-dispatch rows at N, 4N and 16N nodes.
+	Dispatch []ServeDispatchResult `json:"dispatch"`
 }
 
 // JSON renders the suite as indented JSON with a trailing newline.
@@ -382,6 +404,13 @@ func RunServe(cfg ServeBenchConfig) (*ServeSuite, error) {
 			})
 		}
 	}
+	for _, n := range []int{cfg.N, 4 * cfg.N, 16 * cfg.N} {
+		row, err := benchDispatch(cfg, n)
+		if err != nil {
+			return nil, fmt.Errorf("bench: serve dispatch n=%d: %w", n, err)
+		}
+		s.Dispatch = append(s.Dispatch, *row)
+	}
 	// The batched/singleton pair must fingerprint identically — the
 	// coalescer's bit-purity claim, re-checked at bench time.
 	for i := 0; i+1 < len(s.Results); i += 2 {
@@ -391,6 +420,51 @@ func RunServe(cfg ServeBenchConfig) (*ServeSuite, error) {
 		}
 	}
 	return s, nil
+}
+
+// benchDispatch measures one per-dispatch row: an untimed pass over
+// every band builds the shard handles, then Repeats timed passes each
+// send one one-node request per band.
+func benchDispatch(cfg ServeBenchConfig, n int) (*ServeDispatchResult, error) {
+	g, err := datasets.Family(cfg.Family, n, cfg.Degree, cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
+	perm := make([]int, n)
+	for i := range perm {
+		perm[i] = i
+	}
+	eng, err := serve.NewEngine(g, serve.EngineConfig{
+		Pattern: cfg.Pattern, Seed: cfg.Seed, ShardRows: cfg.ShardRows, Mode: cfg.Mode, Perm: perm,
+	})
+	if err != nil {
+		return nil, err
+	}
+	rows := eng.ShardRows()
+	var reqs []*serve.Request
+	for lo := 0; lo < n; lo += rows {
+		reqs = append(reqs, &serve.Request{Op: serve.OpEmbed, Nodes: []int{lo}})
+	}
+	for _, r := range reqs {
+		eng.ServeBatch([]*serve.Request{r}, false)
+	}
+	var lats []float64
+	var sum uint64
+	for pass := 0; pass < cfg.Repeats; pass++ {
+		for _, r := range reqs {
+			t0 := time.Now()
+			resp := eng.ServeBatch([]*serve.Request{r}, false)[0]
+			lats = append(lats, float64(time.Since(t0).Nanoseconds()))
+			sum += resp.Checksum()
+		}
+	}
+	sort.Float64s(lats)
+	return &ServeDispatchResult{
+		N: n, ShardRows: rows, Dispatches: len(lats),
+		Checksum: fmt.Sprintf("%016x", sum),
+		MedianNs: lats[len(lats)/2],
+		IQRNs:    lats[len(lats)*3/4] - lats[len(lats)/4],
+	}, nil
 }
 
 // CanonicalServe returns a copy with every scheduling-dependent field
@@ -405,6 +479,11 @@ func CanonicalServe(s *ServeSuite) *ServeSuite {
 		c.Results[i].ThroughputRPS = 0
 		c.Results[i].BatchMean = 0
 		c.Results[i].BatchMax = 0
+	}
+	c.Dispatch = append([]ServeDispatchResult(nil), s.Dispatch...)
+	for i := range c.Dispatch {
+		c.Dispatch[i].MedianNs = 0
+		c.Dispatch[i].IQRNs = 0
 	}
 	return &c
 }

@@ -41,6 +41,17 @@ func TestRunServeShapeAndChecksums(t *testing.T) {
 			t.Fatalf("clients=%d: missing timing fields: %+v", a.Clients, a)
 		}
 	}
+	if len(s.Dispatch) != 3 {
+		t.Fatalf("got %d dispatch rows, want 3", len(s.Dispatch))
+	}
+	for i, d := range s.Dispatch {
+		if d.N != 512<<(2*i) {
+			t.Fatalf("dispatch row %d: n=%d, want %d", i, d.N, 512<<(2*i))
+		}
+		if want := (d.N + 63) / 64; d.ShardRows != 64 || d.Dispatches != want || d.MedianNs <= 0 {
+			t.Fatalf("dispatch row %+v: want shard_rows 64, %d dispatches, a positive median", d, want)
+		}
+	}
 	// Singleton rows must actually have run unbatched.
 	for _, r := range s.Results {
 		if r.Coalesce == "singleton" && r.BatchMean > 1 {

@@ -13,7 +13,9 @@ import (
 	"repro/internal/graph"
 )
 
-// Matrix is a square sparse matrix in CSR form with float32 values.
+// Matrix is a sparse matrix in CSR form with float32 values: N rows,
+// square (column ids in [0, N)) except for a row window (Window), whose
+// column ids keep the parent matrix's numbering.
 type Matrix struct {
 	N      int
 	RowPtr []int32
@@ -44,6 +46,22 @@ func (m *Matrix) MaxRowNNZ() int {
 func (m *Matrix) Row(i int) ([]int32, []float32) {
 	lo, hi := m.RowPtr[i], m.RowPtr[i+1]
 	return m.ColIdx[lo:hi], m.Val[lo:hi]
+}
+
+// Window returns rows [lo, hi) of m as an (hi-lo)-row matrix sharing
+// m's column and value storage; only the hi-lo+1 row pointers are
+// copied (rebased to the window's first nonzero). Column ids keep m's
+// numbering, so the window is rectangular: a kernel computing
+// Window(lo, hi) x B writes exactly rows [lo, hi) of m x B, in the same
+// per-element order. Transpose, Permute, ToDense and the other
+// square-matrix operations do not apply to a window.
+func (m *Matrix) Window(lo, hi int) *Matrix {
+	base, end := m.RowPtr[lo], m.RowPtr[hi]
+	rp := make([]int32, hi-lo+1)
+	for i := range rp {
+		rp[i] = m.RowPtr[lo+i] - base
+	}
+	return &Matrix{N: hi - lo, RowPtr: rp, ColIdx: m.ColIdx[base:end:end], Val: m.Val[base:end:end]}
 }
 
 // At returns element (i, j), 0 if absent.

@@ -107,8 +107,6 @@ type Result struct {
 	AvgSampleSize  float64
 	LYRSpeedup     float64 // aggregation speedup (modeled cycles)
 	ALLSpeedup     float64 // end-to-end speedup
-	WallBaseline   time.Duration
-	WallRevised    time.Duration
 	ConformedCount int
 	// FallbackCount is how many samples kept the CSR path because the
 	// cost model predicted SPTC would lose (the paper's Section 5.3

@@ -2,7 +2,7 @@ package serve
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -14,6 +14,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pattern"
 	"repro/internal/plan"
+	"repro/internal/predictor/cycle"
 	"repro/internal/resil"
 	"repro/internal/sched"
 	"repro/internal/spmm"
@@ -154,12 +155,13 @@ func (c EngineConfig) withDefaults() (EngineConfig, error) {
 	return c, nil
 }
 
-// shardHandle is one row band's built dispatch state: the band
-// embedded as a square n-by-n CSR (rows outside the band empty, so a
-// dispatch computes the whole band against the shared right-hand
-// side), plus the V:N:M split the hybrid path consumes.
+// shardHandle is one row band's built dispatch state: the band's rows
+// [lo, hi) of Â as a row window sharing Â's storage, plus the
+// band-local V:N:M split the hybrid path consumes. Every operand has
+// only the band's rows, so a dispatch writes a (hi-lo)-row output and
+// touches nothing sized by the graph.
 type shardHandle struct {
-	sub   *csr.Matrix
+	a     *csr.Matrix
 	comp  *venom.Matrix
 	resid *csr.Matrix
 	// planned caches the ModeAuto decision (a pure function of the
@@ -184,16 +186,15 @@ type Engine struct {
 	perm []int         // new position -> original vertex
 	inv  []int         // original vertex -> new position
 
-	nShards    int
-	shards     *lru[*shardHandle]
-	rowCache   *lru[[]float32]
-	csrOnly    []bool // rung-1 sticky SPTC->CSR fallback, per shard
-	planner    *plan.Planner
-	pool       *sched.Pool
-	obs        *obs.Registry
-	inj        *resil.Injector
-	y, scratch *dense.Matrix // dispatch output + hybrid residual scratch
-	arena      plan.Arena
+	nShards  int
+	shards   *lru[*shardHandle]
+	rowCache *lru[[]float32]
+	csrOnly  []bool // rung-1 sticky SPTC->CSR fallback, per shard
+	planner  *plan.Planner
+	pool     *sched.Pool
+	obs      *obs.Registry
+	inj      *resil.Injector
+	arena    plan.Arena // band-sized dispatch output + residual scratch
 
 	// Mutation state (nil/zero for read-only engines). muMut serializes
 	// mutators and is always acquired BEFORE mu (the epoch fence:
@@ -299,8 +300,6 @@ func NewEngine(g *graph.Graph, cfg EngineConfig) (*Engine, error) {
 		pool:     pool,
 		obs:      cfg.Obs,
 		inj:      cfg.Inj,
-		y:        dense.NewMatrix(n, cfg.FeatureDim),
-		scratch:  dense.NewMatrix(n, cfg.FeatureDim),
 		rowCache: newLRU[[]float32](cfg.CacheRows),
 	}
 	e.shards = newLRU[*shardHandle](shardCap)
@@ -383,6 +382,10 @@ func (e *Engine) registerMetrics() {
 // N returns the graph size.
 func (e *Engine) N() int { return e.n }
 
+// ShardRows returns the row-band height shards are cut at, after
+// rounding up to a multiple of V.
+func (e *Engine) ShardRows() int { return e.cfg.ShardRows }
+
 // Mode returns the resolved dispatch mode.
 func (e *Engine) Mode() Mode { return e.cfg.Mode }
 
@@ -416,32 +419,6 @@ func (e *Engine) ValidateRequest(r *Request) error {
 // shardOf maps a reordered row position to its shard index.
 func (e *Engine) shardOf(pos int) int { return pos / e.cfg.ShardRows }
 
-// bandCSR embeds shard s's row band of a as a square n-by-n CSR
-// sharing a's column/value storage (rows outside the band empty) — a
-// pure function, so the background warmer can build handles off-lock
-// from a captured Â.
-func bandCSR(a *csr.Matrix, n, shardRows, s int) *csr.Matrix {
-	lo := s * shardRows
-	hi := lo + shardRows
-	if hi > n {
-		hi = n
-	}
-	base := a.RowPtr[lo]
-	rp := make([]int32, n+1)
-	for i := lo; i < hi; i++ {
-		rp[i+1] = a.RowPtr[i+1] - base
-	}
-	for i := hi; i < n; i++ {
-		rp[i+1] = rp[hi]
-	}
-	return &csr.Matrix{
-		N:      n,
-		RowPtr: rp,
-		ColIdx: a.ColIdx[base:a.RowPtr[hi]],
-		Val:    a.Val[base:a.RowPtr[hi]],
-	}
-}
-
 // shardBounds returns shard s's row band [lo, hi).
 func (e *Engine) shardBounds(s int) (lo, hi int) {
 	lo = s * e.cfg.ShardRows
@@ -452,16 +429,38 @@ func (e *Engine) shardBounds(s int) (lo, hi int) {
 	return lo, hi
 }
 
-// buildShard constructs shard s's dispatch handle: the band embedded
-// as a square CSR sharing Â's column/value storage, plus the V:N:M
-// split unless the mode (or the rung-1 fallback) is CSR-only. The
-// injector's "serve/shard" site fires here: a straggler delays the
-// build; a crash or transient event — like a genuine split or
-// metadata-validation failure — trips the sticky SPTC→CSR fallback
-// for this shard (degradation rung 1, mirroring gnn.ValidateOperator).
+// newShardHandle builds shard s's handle over a: the band's row
+// window, plus its band-local V:N:M split when split is set. It is a
+// pure function of (a, s, configuration), so the background warmer
+// can build handles off-lock from a captured Â. A split or
+// metadata-validation failure returns the CSR-only handle with the
+// error.
+func (e *Engine) newShardHandle(a *csr.Matrix, s int, split bool) (*shardHandle, error) {
+	lo, hi := e.shardBounds(s)
+	h := &shardHandle{a: a.Window(lo, hi)}
+	if !split {
+		return h, nil
+	}
+	comp, resid, err := venom.SplitToConform(h.a, e.cfg.Pattern)
+	if err == nil {
+		err = comp.ValidateMeta()
+	}
+	if err != nil {
+		return h, err
+	}
+	h.comp, h.resid = comp, resid
+	return h, nil
+}
+
+// buildShard constructs shard s's dispatch handle: the band's row
+// window, plus the band-local V:N:M split unless the mode (or the
+// rung-1 fallback) is CSR-only. The injector's "serve/shard" site
+// fires here: a straggler delays the build; a crash or transient
+// event — like a genuine split or metadata-validation failure — trips
+// the sticky SPTC→CSR fallback for this shard (degradation rung 1,
+// mirroring gnn.ValidateOperator).
 func (e *Engine) buildShard(s int) *shardHandle {
 	e.obs.Volatile("serve/shard/build").Inc()
-	h := &shardHandle{sub: bandCSR(e.a, e.n, e.cfg.ShardRows, s)}
 	if ev := e.inj.Fire("serve/shard"); ev != nil {
 		switch ev.Kind {
 		case resil.KindStraggler:
@@ -470,21 +469,14 @@ func (e *Engine) buildShard(s int) *shardHandle {
 			e.degradeShard(s)
 		}
 	}
-	if e.cfg.Mode == ModeCSR || e.csrOnly[s] || e.csrWindow {
-		// During the post-rebuild window the split is exactly the work
-		// being deferred to the background warmer — serve CSR now; the
-		// warmer's install overwrites this handle.
-		return h
-	}
-	comp, resid, err := venom.SplitToConform(h.sub, e.cfg.Pattern)
-	if err == nil {
-		err = comp.ValidateMeta()
-	}
+	// During the post-rebuild window the split is exactly the work
+	// being deferred to the background warmer — serve CSR now; the
+	// warmer's install overwrites this handle.
+	split := e.cfg.Mode != ModeCSR && !e.csrOnly[s] && !e.csrWindow
+	h, err := e.newShardHandle(e.a, s, split)
 	if err != nil {
 		e.degradeShard(s)
-		return h
 	}
-	h.comp, h.resid = comp, resid
 	return h
 }
 
@@ -496,9 +488,12 @@ func (e *Engine) degradeShard(s int) {
 	}
 }
 
-// dispatchShard computes shard s's full band against the shared
-// right-hand side into the engine's output scratch and returns it.
-// Caller holds e.mu.
+// dispatchShard computes shard s's band against the shared right-hand
+// side and returns it as a band-sized matrix (row i is position
+// lo+i), valid until the next dispatch. The fixed modes run their
+// kernel through plan.Execute too, which adds no arithmetic, so every
+// mode shares one execution path and one output arena. Caller holds
+// e.mu.
 func (e *Engine) dispatchShard(s int) *dense.Matrix {
 	sp := e.obs.VolatileSpan("serve/dispatch")
 	defer sp.End()
@@ -507,57 +502,39 @@ func (e *Engine) dispatchShard(s int) *dense.Matrix {
 		h = e.buildShard(s)
 		e.shards.put(s, h)
 	}
-	if e.csrOnly[s] || h.comp == nil || e.cfg.Mode == ModeCSR {
+	op := plan.Operands{A: h.a, Comp: h.comp, Resid: h.resid}
+	d := plan.Decision{Kernel: cycle.KernelHybridParallel}
+	switch {
+	case e.csrOnly[s] || h.comp == nil || e.cfg.Mode == ModeCSR:
 		e.obs.Volatile("serve/dispatch/csr").Inc()
-		spmm.CSRPoolInto(e.pool, e.y, h.sub, e.rhs)
-		return e.y
-	}
-	if e.cfg.Mode == ModeAuto {
+		d = plan.Decision{Kernel: cycle.KernelCSRParallel}
+	case e.cfg.Mode == ModeAuto:
 		if !h.planned {
-			h.dec = e.planner.ChooseOperands(plan.Operands{A: h.sub, Comp: h.comp, Resid: h.resid}, e.cfg.FeatureDim)
+			h.dec = e.planner.ChooseOperands(op, e.cfg.FeatureDim)
 			h.planned = true
 		}
 		e.obs.Volatile("serve/dispatch/planned").Inc()
-		return plan.Execute(h.dec, e.pool, plan.Operands{A: h.sub, Comp: h.comp, Resid: h.resid}, e.rhs, &e.arena)
+		d = h.dec
+	default:
+		e.obs.Volatile("serve/dispatch/hybrid").Inc()
 	}
-	e.obs.Volatile("serve/dispatch/hybrid").Inc()
-	spmm.HybridPoolInto(e.pool, e.y, e.scratch, h.comp, h.resid, e.rhs)
-	return e.y
+	return plan.Execute(d, e.pool, op, e.rhs, &e.arena)
 }
 
-// gatherRows computes only the given (sorted, reordered) row
-// positions through a gathered square CSR and the parallel CSR
-// kernel — the load-degradation rung (rung 2): cheaper than full
-// band dispatches under pressure, skipping all cache fill so the
-// caches only ever hold full-rate rows. CSR row accumulation order
-// is identical to the band dispatch's, so in ModeCSR the degraded
-// rows are bit-identical; in the hybrid modes they are
-// tolerance-bounded instead (summation order differs).
-func (e *Engine) gatherRows(positions []int) map[int][]float32 {
-	nnz := 0
-	for _, p := range positions {
-		nnz += e.a.RowNNZ(p)
-	}
-	g := &csr.Matrix{
-		N:      e.n,
-		RowPtr: make([]int32, e.n+1),
-		ColIdx: make([]int32, 0, nnz),
-		Val:    make([]float32, 0, nnz),
-	}
-	next := 0
-	for i := 0; i < e.n; i++ {
-		if next < len(positions) && positions[next] == i {
-			cols, vals := e.a.Row(i)
-			g.ColIdx = append(g.ColIdx, cols...)
-			g.Val = append(g.Val, vals...)
-			next++
-		}
-		g.RowPtr[i+1] = int32(len(g.ColIdx))
-	}
-	spmm.CSRPoolInto(e.pool, e.y, g, e.rhs)
-	rows := make(map[int][]float32, len(positions))
-	for _, p := range positions {
-		rows[p] = append([]float32(nil), e.y.Row(p)...)
+// gatherRows computes only the given (sorted) row positions into one
+// len(positions)-row buffer — the load-degradation rung (rung 2):
+// cheaper than band dispatches under pressure, skipping all cache
+// fill so the caches only ever hold full-rate rows. Each row runs the
+// serial CSR row loop, whose accumulation order is the band
+// dispatch's, so in ModeCSR the degraded rows are bit-identical; in
+// the hybrid modes they are tolerance-bounded instead (summation order
+// differs). The returned rows are aligned with positions.
+func (e *Engine) gatherRows(positions []int) [][]float32 {
+	out := dense.NewMatrix(len(positions), e.cfg.FeatureDim)
+	spmm.CSRGatherInto(out, e.a, positions, e.rhs)
+	rows := make([][]float32, len(positions))
+	for k := range rows {
+		rows[k] = out.Row(k)
 	}
 	return rows
 }
@@ -573,20 +550,17 @@ func (e *Engine) ServeBatch(reqs []*Request, degraded bool) []*Response {
 	defer e.mu.Unlock()
 
 	// Union of distinct reordered positions, ascending.
-	posSet := make(map[int]struct{})
+	var positions []int
 	for _, r := range reqs {
 		for _, v := range r.Nodes {
-			posSet[e.inv[v]] = struct{}{}
+			positions = append(positions, e.inv[v])
 		}
 	}
-	positions := make([]int, 0, len(posSet))
-	for p := range posSet {
-		positions = append(positions, p)
-	}
-	sort.Ints(positions)
+	slices.Sort(positions)
+	positions = slices.Compact(positions)
 	e.obs.VolatileHist("serve/batch_rows").Observe(int64(len(positions)))
 
-	var rows map[int][]float32
+	var rows [][]float32 // aligned with positions
 	if degraded {
 		e.obs.Volatile("serve/degraded/batches").Inc()
 		rows = e.gatherRows(positions)
@@ -596,6 +570,10 @@ func (e *Engine) ServeBatch(reqs []*Request, degraded bool) []*Response {
 		}
 		rows = e.resolveRows(positions)
 	}
+	row := func(v int) []float32 {
+		k, _ := slices.BinarySearch(positions, e.inv[v])
+		return rows[k]
+	}
 
 	resps := make([]*Response, len(reqs))
 	total := 0
@@ -604,12 +582,12 @@ func (e *Engine) ServeBatch(reqs []*Request, degraded bool) []*Response {
 		if r.Op == OpClassify {
 			resp.Classes = make([]int, len(r.Nodes))
 			for j, v := range r.Nodes {
-				resp.Classes[j] = e.classify(rows[e.inv[v]])
+				resp.Classes[j] = e.classify(row(v))
 			}
 		} else {
 			resp.Rows = make([][]float32, len(r.Nodes))
 			for j, v := range r.Nodes {
-				resp.Rows[j] = rows[e.inv[v]]
+				resp.Rows[j] = row(v)
 			}
 		}
 		total += len(r.Nodes)
@@ -620,68 +598,45 @@ func (e *Engine) ServeBatch(reqs []*Request, degraded bool) []*Response {
 	return resps
 }
 
-// resolveRows fills the requested (sorted) positions from the row
-// cache, dispatching each shard with at least one miss exactly once
-// and inserting its whole band into the cache ascending — so a later
-// query for any neighbor in the band hits. Cached slices are
-// immutable once stored.
-func (e *Engine) resolveRows(positions []int) map[int][]float32 {
-	rows := make(map[int][]float32, len(positions))
+// resolveRows returns the rows of the requested (sorted, distinct)
+// positions, aligned with positions: cached rows come from the row
+// cache; every shard holding at least one miss is dispatched exactly
+// once, and its missed rows are copied out of the band and admitted to
+// the cache. Only requested rows are admitted — filling the rest of
+// the band would evict the hot set for rows nobody asked for. Cached
+// slices are immutable once stored.
+func (e *Engine) resolveRows(positions []int) [][]float32 {
+	rows := make([][]float32, len(positions))
 	for i := 0; i < len(positions); {
 		s := e.shardOf(positions[i])
 		j := i
 		missed := false
-		for j < len(positions) && e.shardOf(positions[j]) == s {
+		for ; j < len(positions) && e.shardOf(positions[j]) == s; j++ {
 			if row, ok := e.rowCache.get(positions[j]); ok {
 				e.obs.Volatile("serve/cache/hit").Inc()
-				rows[positions[j]] = row
+				rows[j] = row
 			} else {
 				e.obs.Volatile("serve/cache/miss").Inc()
 				missed = true
 			}
-			j++
 		}
 		if missed {
 			y := e.dispatchShard(s)
-			// Serve this group straight from the dispatch output (the
-			// band rows a too-small cache would immediately evict must
-			// still be answered), then fill the cache with the band.
+			lo, _ := e.shardBounds(s)
 			for k := i; k < j; k++ {
-				if rows[positions[k]] == nil {
-					rows[positions[k]] = append([]float32(nil), y.Row(positions[k])...)
+				if rows[k] != nil {
+					continue
 				}
-			}
-			if e.cfg.CacheRows > 0 {
-				lo, hi := e.shardBounds(s)
-				if hi-lo > e.cfg.CacheRows {
-					// The band is larger than the whole cache: filling it
-					// would churn every previously hot row out and retain
-					// only the band's tail — rows nobody asked for. Fill
-					// just the rows this batch proved hot instead.
-					for k := i; k < j; k++ {
-						e.fillRow(positions[k], y)
-					}
-				} else {
-					for r := lo; r < hi; r++ {
-						e.fillRow(r, y)
-					}
+				rows[k] = append([]float32(nil), y.Row(positions[k]-lo)...)
+				if e.cfg.CacheRows > 0 {
+					e.rowCache.put(positions[k], rows[k])
+					e.obs.Volatile("serve/cache/fill").Inc()
 				}
 			}
 		}
 		i = j
 	}
 	return rows
-}
-
-// fillRow inserts row r from dispatch output y into the row cache
-// unless it is already cached (a fresh get keeps the hit's recency
-// position honest).
-func (e *Engine) fillRow(r int, y *dense.Matrix) {
-	if _, ok := e.rowCache.get(r); ok {
-		return
-	}
-	e.rowCache.put(r, append([]float32(nil), y.Row(r)...))
-	e.obs.Volatile("serve/cache/fill").Inc()
 }
 
 // classify returns the argmax class of one aggregation row under the

@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/graph"
@@ -201,5 +202,47 @@ func TestPrecomputedPermMatchesReorder(t *testing.T) {
 	reqs := flatScript(t, ScriptConfig{Seed: 5, Clients: 1, Requests: 10, N: 128, ClassifyEvery: 2})
 	if !bitEqualResponses(serveAll(a, reqs), serveAll(b, reqs)) {
 		t.Fatal("precomputed-perm engine disagrees with reordering engine")
+	}
+}
+
+// TestServeAllocFlatInGraphSize: with warm shards and no row cache, a
+// single-request ServeBatch allocates for the bands it dispatches and
+// the rows it returns, nothing sized by the graph. Allocation is
+// deterministic here (one worker, identity permutation), so a 1.5x
+// bound across a 16x range of n is tight.
+func TestServeAllocFlatInGraphSize(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 32k-node engine")
+	}
+	req := &Request{Op: OpEmbed, Nodes: []int{3, 100, 300, 700, 1500}}
+	bytesPerBatch := func(n int) uint64 {
+		perm := make([]int, n)
+		for i := range perm {
+			perm[i] = i
+		}
+		e, err := NewEngine(graph.ErdosRenyi(n, 8/float64(n), 42), EngineConfig{
+			Seed: 7, ShardRows: 256, CacheRows: 0, Workers: 1, Perm: perm,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.ServeBatch([]*Request{req}, false) // build the shards, grow the arena
+		best := uint64(math.MaxUint64)
+		for rep := 0; rep < 5; rep++ {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			e.ServeBatch([]*Request{req}, false)
+			runtime.ReadMemStats(&m1)
+			best = min(best, m1.TotalAlloc-m0.TotalAlloc)
+		}
+		return best
+	}
+	small := bytesPerBatch(2048)
+	for _, n := range []int{8192, 32768} {
+		large := bytesPerBatch(n)
+		t.Logf("n=%d: %d B per batch (n=2048: %d B)", n, large, small)
+		if ratio := float64(large) / float64(small); ratio > 1.5 {
+			t.Fatalf("ServeBatch allocates %d B at n=%d vs %d B at n=2048 (%.2fx > 1.5x)", large, n, small, ratio)
+		}
 	}
 }

@@ -97,3 +97,32 @@ func TestTinyCacheRetainsRequestedRows(t *testing.T) {
 		}
 	}
 }
+
+// TestHotSetStaysCached: on the 80/20 script, once warm, a row cache
+// that holds the hot set twice over serves most rows. The cache holds
+// only two 64-row bands, so admitting whole dispatched bands would
+// churn the hot set out.
+func TestHotSetStaysCached(t *testing.T) {
+	const n = 1024 // hot set: n/16 = 64 original vertices
+	reg := obs.NewRegistry()
+	e, err := NewEngine(testGraph(t, n), EngineConfig{
+		Seed: 7, ShardRows: 64, CacheRows: 128, Workers: 1, Obs: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := flatScript(t, ScriptConfig{Seed: 11, Clients: 1, Requests: 300, N: n, MinNodes: 16, MaxNodes: 16})
+	for _, r := range reqs[:100] {
+		e.ServeBatch([]*Request{r}, false)
+	}
+	s0 := reg.Snapshot()
+	for _, r := range reqs[100:] {
+		e.ServeBatch([]*Request{r}, false)
+	}
+	s1 := reg.Snapshot()
+	hit := float64(s1.Volatile["serve/cache/hit"] - s0.Volatile["serve/cache/hit"])
+	miss := float64(s1.Volatile["serve/cache/miss"] - s0.Volatile["serve/cache/miss"])
+	if ratio := hit / (hit + miss); ratio < 0.7 {
+		t.Fatalf("warm hit ratio %.3f < 0.7 (%v hits, %v misses)", ratio, hit, miss)
+	}
+}

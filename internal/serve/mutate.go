@@ -47,7 +47,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/shard"
 	"repro/internal/spmm"
-	"repro/internal/venom"
 )
 
 // MutateOutcome reports one applied mutation batch: the epoch it
@@ -261,17 +260,9 @@ func (e *Engine) warm() {
 		handles := make([]*shardHandle, e.nShards)
 		failed := make([]bool, e.nShards)
 		for s := range handles {
-			h := &shardHandle{sub: bandCSR(a, e.n, e.cfg.ShardRows, s)}
-			comp, resid, err := venom.SplitToConform(h.sub, e.cfg.Pattern)
-			if err == nil {
-				err = comp.ValidateMeta()
-			}
-			if err != nil {
-				failed[s] = true
-			} else {
-				h.comp, h.resid = comp, resid
-			}
-			handles[s] = h
+			var err error
+			handles[s], err = e.newShardHandle(a, s, true)
+			failed[s] = err != nil
 		}
 
 		e.mu.Lock()

@@ -13,6 +13,11 @@
 // accumulate each element in the serial operand order, so for any
 // worker count and tile size the parallel result equals the serial
 // reference exactly (internal/check enforces this bitwise).
+//
+// A may also be a row window of a larger square matrix
+// (csr.Matrix.Window, or venom.SplitToConform of one): C then has only the window's
+// rows, A's column ids index B's rows, and every element of C carries
+// the bits of the same row of the full product.
 package spmm
 
 import (
@@ -71,6 +76,22 @@ func CSRSerialInto(c *dense.Matrix, a *csr.Matrix, b *dense.Matrix) {
 		for k, col := range cols {
 			br := b.Row(int(col))
 			axpy(cr, br, vals[k])
+		}
+	}
+}
+
+// CSRGatherInto computes only the listed rows of A x B on a single
+// goroutine: row k of c is row rows[k] of the product. c must be
+// len(rows) by b.Cols. Each row runs the CSRSerialInto row loop, so
+// its bits equal the same row of every CSR kernel's output.
+func CSRGatherInto(c *dense.Matrix, a *csr.Matrix, rows []int, b *dense.Matrix) {
+	checkOut(c, len(rows), b.Cols)
+	c.Zero()
+	for k, i := range rows {
+		cols, vals := a.Row(i)
+		cr := c.Row(k)
+		for j, col := range cols {
+			axpy(cr, b.Row(int(col)), vals[j])
 		}
 	}
 }

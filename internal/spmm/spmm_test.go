@@ -1,6 +1,7 @@
 package spmm
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/dense"
 	"repro/internal/graph"
 	"repro/internal/pattern"
+	"repro/internal/sched"
 	"repro/internal/sptc"
 	"repro/internal/venom"
 )
@@ -221,4 +223,56 @@ func BenchmarkVNMSpMM(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = VNM(cm, x)
 	}
+}
+
+// TestRowWindowKernelsMatchFullProduct: a row-window operand and the
+// row-gather kernel reproduce, bit for bit, the same rows of the
+// full-matrix serial product — the contract band-local serving rests
+// on.
+func TestRowWindowKernelsMatchFullProduct(t *testing.T) {
+	const n, h = 150, 13
+	a := csr.SymNormalized(graph.ErdosRenyi(n, 0.08, 4))
+	b := randomB(n, h, 5)
+	want := CSRSerial(a, b)
+	p := pattern.New(4, 2, 8)
+	pool := sched.New(3)
+	for lo := 0; lo < n; lo += 64 {
+		hi := min(lo+64, n)
+		rows := want.Data[lo*h : hi*h]
+		if got := CSRPool(pool, a.Window(lo, hi), b); !sameBits(got.Data, rows) {
+			t.Fatalf("CSR window [%d,%d) differs from the full product's rows", lo, hi)
+		}
+		comp, resid, err := venom.SplitToConform(a.Window(lo, hi), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fullComp, fullResid, err := venom.SplitToConform(a, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hyb := HybridSerial(fullComp, fullResid, b).Data[lo*h : hi*h]
+		if got := HybridPool(pool, comp, resid, b); !sameBits(got.Data, hyb) {
+			t.Fatalf("hybrid band [%d,%d) differs from the full hybrid product's rows", lo, hi)
+		}
+	}
+	positions := []int{0, 7, 63, 64, 149}
+	got := dense.NewMatrix(len(positions), h)
+	CSRGatherInto(got, a, positions, b)
+	for k, r := range positions {
+		if !sameBits(got.Row(k), want.Row(r)) {
+			t.Fatalf("gathered row %d differs from the full product", r)
+		}
+	}
+}
+
+func sameBits(a, b []float32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -1,6 +1,7 @@
 package venom
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -189,4 +190,78 @@ func TestDecompressRoundTripWeights(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestBandSplitMatchesWholeSplit: the split of a V-aligned row window
+// carries, bit for bit,
+// the band's block rows of the whole-matrix split — blocks, columns,
+// values, metadata and residual entries — including the last, partial
+// band and bands with a nonempty residual.
+func TestBandSplitMatchesWholeSplit(t *testing.T) {
+	const n, band = 150, 32 // 150 = 4 full bands + a 22-row tail
+	a := randomCSR(n, 0.08, 5)
+	for _, p := range []pattern.VNM{pattern.NM(2, 4), pattern.New(4, 2, 8), pattern.New(8, 2, 16)} {
+		whole, wholeResid, err := SplitToConform(a, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		residBands := 0
+		for lo := 0; lo < n; lo += band {
+			hi := min(lo+band, n)
+			comp, resid, err := SplitToConform(a.Window(lo, hi), p)
+			if err != nil {
+				t.Fatalf("%v band [%d,%d): %v", p, lo, hi, err)
+			}
+			if comp.N != hi-lo || comp.K != whole.K || comp.P != whole.P {
+				t.Fatalf("%v band [%d,%d): shape N=%d K=%d", p, lo, hi, comp.N, comp.K)
+			}
+			brLo, brHi := lo/p.V, (hi+p.V-1)/p.V
+			bLo, bHi := int(whole.BlockRowPtr[brLo]), int(whole.BlockRowPtr[brHi])
+			for br := brLo; br <= brHi; br++ {
+				if comp.BlockRowPtr[br-brLo] != whole.BlockRowPtr[br]-int32(bLo) {
+					t.Fatalf("%v band [%d,%d): block row pointer %d differs", p, lo, hi, br)
+				}
+			}
+			vpb := p.V * p.N
+			if !equalInts(comp.BlockSeg, whole.BlockSeg[bLo:bHi]) ||
+				!equalInts(comp.BlockCols, whole.BlockCols[bLo*whole.K:bHi*whole.K]) ||
+				!equalBits(comp.Values, whole.Values[bLo*vpb:bHi*vpb]) ||
+				string(comp.Meta) != string(whole.Meta[bLo*vpb:bHi*vpb]) {
+				t.Fatalf("%v band [%d,%d): compressed blocks differ from the whole split's", p, lo, hi)
+			}
+			if !resid.Equal(wholeResid.Window(lo, hi)) {
+				t.Fatalf("%v band [%d,%d): residual differs from the whole split's rows", p, lo, hi)
+			}
+			if resid.NNZ() > 0 {
+				residBands++
+			}
+		}
+		if residBands == 0 {
+			t.Fatalf("%v: no band had a residual; the operand exercises nothing", p)
+		}
+	}
+}
+
+func equalInts(a, b []int32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+func equalBits(a, b []float32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

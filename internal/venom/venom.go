@@ -24,9 +24,11 @@ import (
 
 // Matrix is an n-by-n sparse matrix compressed in V:N:M form.
 // Meta-blocks that are entirely zero are not stored; the block
-// structure is itself CSR-indexed by block row.
+// structure is itself CSR-indexed by block row. Splitting a row window
+// (csr.Matrix.Window) compresses only that band: N is then the band's
+// row count while column ids keep the parent matrix's numbering.
 type Matrix struct {
-	N int
+	N int // rows
 	P pattern.VNM
 	K int // effective column budget per meta-block
 
@@ -378,6 +380,13 @@ func PruneToConform(a *csr.Matrix, p pattern.VNM) (*csr.Matrix, PruneStats, erro
 // reordering the residual is empty or tiny; the hybrid lets the SPTC
 // kernel run the conforming bulk while CUDA cores mop up the rest,
 // keeping execution lossless even on matrices that never fully conform.
+//
+// a may be a row window a.Window(lo, hi) of a larger matrix. Pruning
+// and compression are pure per-block-row functions, so when lo is a
+// multiple of p.V (and hi is too, or is the last row) the window's
+// split is bit-identical to the band's block rows of the whole
+// matrix's split: the same blocks, columns, values, metadata and
+// residual entries.
 func SplitToConform(a *csr.Matrix, p pattern.VNM) (*Matrix, *csr.Matrix, error) {
 	kept, _, err := PruneToConform(a, p)
 	if err != nil {

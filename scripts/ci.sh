@@ -42,6 +42,12 @@ go build ./...
 echo "== go test -race (default GOMAXPROCS) =="
 go test -race ./...
 
+echo "== benchmark module (e2ebench builds and passes against this tree) =="
+# e2ebench is its own Go module (replace repro => ../), outside the
+# root ./... pattern: without this step a change to a serve, spmm or
+# venom API it calls would first fail when the benchmark runs.
+(cd e2ebench && go test .)
+
 echo "== go test -race (GOMAXPROCS=2 matrix entry) =="
 # A second scheduling regime for the parallel engine: two schedulable
 # CPUs force worker multiplexing and stealing interleavings a 1-CPU
