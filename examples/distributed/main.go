@@ -34,7 +34,6 @@ func main() {
 	}
 	fmt.Printf("samples: %d (avg %d vertices each)\n", res.Samples, int(res.AvgSampleSize))
 	fmt.Printf("conforming samples: %d/%d, fallbacks: %d\n", res.ConformedCount, res.Samples, res.FallbackCount)
-	fmt.Printf("offline reorder time (total): %v\n", res.ReorderTime)
 	fmt.Printf("aggregation (LYR) speedup: %.2fx\n", res.LYRSpeedup)
 	fmt.Printf("end-to-end  (ALL) speedup: %.2fx\n", res.ALLSpeedup)
 }

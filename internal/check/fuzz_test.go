@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/csr"
 	"repro/internal/dyn"
 	"repro/internal/graph"
 	"repro/internal/pattern"
@@ -27,16 +29,24 @@ var fuzzPatterns = []pattern.VNM{pattern.NM(2, 4), pattern.New(4, 2, 8)}
 // FuzzCompressDecompress drives arbitrary small weighted matrices
 // (explicit zeros, duplicates-summed entries, negatives included)
 // through prune -> compress -> decompress and split-to-conform,
-// asserting the shared round-trip and reassembly oracles.
+// asserting the shared round-trip and reassembly oracles, and that the
+// split of a V-aligned row window is the whole split's band. The split
+// keeps per-row state inside a block row, so this target also runs a
+// V = 8 pattern; the other targets keep fuzzPatterns' cost.
 func FuzzCompressDecompress(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 0, 64})
 	f.Add([]byte{8, 0, 1, 7, 1, 0, 9, 3, 3, 0})     // explicit zero value
 	f.Add([]byte{5, 2, 2, 10, 2, 2, 11, 2, 2, 200}) // duplicates summed
 	f.Add([]byte{16, 0, 15, 33, 1, 14, 90, 15, 0, 5})
+	patterns := append(slices.Clip(fuzzPatterns), pattern.New(8, 2, 16))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a := CSRFromBytes(data, 32)
-		for _, p := range fuzzPatterns {
+		pick := len(data)
+		if pick > 0 {
+			pick += int(data[pick-1])
+		}
+		for _, p := range patterns {
 			pruned, _, err := venom.PruneToConform(a, p)
 			if err != nil {
 				t.Fatalf("prune on valid input failed: %v", err)
@@ -47,8 +57,48 @@ func FuzzCompressDecompress(f *testing.F) {
 			if err := SplitReassembly(a, p); err != nil {
 				t.Fatalf("pattern %v: %v", p, err)
 			}
+			if a.N == 0 {
+				continue
+			}
+			lo := p.V * (pick % ((a.N + p.V - 1) / p.V))
+			hi := min(a.N, lo+p.V*(1+pick%3))
+			if err := bandSplitMatches(a, p, lo, hi); err != nil {
+				t.Fatalf("pattern %v rows [%d, %d): %v", p, lo, hi, err)
+			}
 		}
 	})
+}
+
+// bandSplitMatches checks that the split of the V-aligned row window
+// [lo, hi) of a is, bit for bit, the window's block rows and residual
+// rows of a's whole split.
+func bandSplitMatches(a *csr.Matrix, p pattern.VNM, lo, hi int) error {
+	whole, wholeResid, err := venom.SplitToConform(a, p)
+	if err != nil {
+		return err
+	}
+	band, resid, err := venom.SplitToConform(a.Window(lo, hi), p)
+	if err != nil {
+		return err
+	}
+	brLo, brHi := lo/p.V, (hi+p.V-1)/p.V
+	bLo, bHi := int(whole.BlockRowPtr[brLo]), int(whole.BlockRowPtr[brHi])
+	ptr := make([]int32, 0, brHi-brLo+1)
+	for _, x := range whole.BlockRowPtr[brLo : brHi+1] {
+		ptr = append(ptr, x-int32(bLo))
+	}
+	k, vpb := whole.K, p.V*p.N
+	sameBits := func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) }
+	if !slices.Equal(band.BlockRowPtr, ptr) || !slices.Equal(band.BlockSeg, whole.BlockSeg[bLo:bHi]) ||
+		!slices.Equal(band.BlockCols, whole.BlockCols[bLo*k:bHi*k]) ||
+		!slices.EqualFunc(band.Values, whole.Values[bLo*vpb:bHi*vpb], sameBits) ||
+		!slices.Equal(band.Meta, whole.Meta[bLo*vpb:bHi*vpb]) {
+		return fmt.Errorf("check: band split's meta-blocks differ from the whole split's")
+	}
+	if !resid.Equal(wholeResid.Window(lo, hi)) {
+		return fmt.Errorf("check: band split's residual differs from the whole split's rows")
+	}
+	return nil
 }
 
 // FuzzReorderLossless checks that SOGRE reordering of an arbitrary

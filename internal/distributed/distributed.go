@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/csr"
@@ -113,7 +112,6 @@ type Result struct {
 	// note: reordering is offline, so users can skip unsuitable
 	// graphs).
 	FallbackCount int
-	ReorderTime   time.Duration // total offline preprocessing
 }
 
 // Run executes the pipeline on graph g: sample -> (offline) reorder ->
@@ -145,7 +143,6 @@ func Run(name string, g *graph.Graph, cfg PipelineConfig) (*Result, error) {
 		bAgg, bTot, rAgg, rTot float64
 		size                   int
 		conformed, fallback    bool
-		reorder                time.Duration
 		err                    error
 	}
 	outs := make([]outcome, cfg.Samples)
@@ -153,13 +150,11 @@ func Run(name string, g *graph.Graph, cfg PipelineConfig) (*Result, error) {
 		o := &outs[s]
 		sub := NeighborSample(g, cfg.Sampler, s).G
 		// Offline: reorder this sample.
-		t0 := time.Now()
 		auto, subR, err := reorderSample(sub, cfg.AutoOpt)
 		if err != nil {
 			o.err = err
 			return
 		}
-		o.reorder = time.Since(t0)
 		x := dense.NewMatrix(sub.N(), cfg.Features)
 		x.Randomize(1, cfg.RandomSeed+int64(s))
 		o.bAgg, o.bTot = runSGC(sub, x, cfg, gnn.EngineCSR, auto)
@@ -192,7 +187,6 @@ func Run(name string, g *graph.Graph, cfg PipelineConfig) (*Result, error) {
 		if o.fallback {
 			res.FallbackCount++
 		}
-		res.ReorderTime += o.reorder
 	}
 	if revAgg == 0 || revTotal == 0 {
 		return nil, fmt.Errorf("distributed: no samples processed")

@@ -80,9 +80,6 @@ func TestPipelineRun(t *testing.T) {
 	if res.ALLSpeedup > res.LYRSpeedup*1.5 && res.LYRSpeedup > 1 {
 		t.Errorf("ALL %v implausibly exceeds LYR %v", res.ALLSpeedup, res.LYRSpeedup)
 	}
-	if res.ReorderTime <= 0 {
-		t.Error("reorder time missing")
-	}
 	// Per-sample results fold in sample order, so the worker count
 	// leaves every modeled figure bit-identical.
 	cfg.Workers = 1

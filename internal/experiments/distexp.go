@@ -15,7 +15,7 @@ func Table6(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:     "table6",
 		Title:  "Distributed GNN on OGBN-like large graphs (SGC, 4 workers)",
-		Header: []string{"Dataset", "Graph #V", "Avg sample", "LYR", "ALL", "Conformed", "Fallbacks", "Reorder time"},
+		Header: []string{"Dataset", "Graph #V", "Avg sample", "LYR", "ALL", "Conformed", "Fallbacks"},
 	}
 	for _, meta := range datasets.OGBNMetas {
 		g := datasets.OGBNGraph(meta, cfg.OGBNScale, cfg.Seed)
@@ -46,8 +46,7 @@ func Table6(cfg Config) (*Table, error) {
 			f2(res.AvgSampleSize),
 			f2(res.LYRSpeedup), f2(res.ALLSpeedup),
 			fmt.Sprintf("%d/%d", res.ConformedCount, res.Samples),
-			fmt.Sprintf("%d", res.FallbackCount),
-			res.ReorderTime.Round(1e6).String())
+			fmt.Sprintf("%d", res.FallbackCount))
 	}
 	t.AddNote("paper Table 6: LYR 1.14-6.49x, ALL 1.16-3.23x on 4 A100s; reordering is offline and uncounted")
 	return t, nil

@@ -13,10 +13,11 @@
 package venom
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"repro/internal/csr"
 	"repro/internal/pattern"
@@ -83,105 +84,59 @@ func (e *ConformError) Error() string {
 }
 
 // Compress losslessly converts a CSR matrix that conforms to the V:N:M
-// pattern. It returns a *ConformError if any meta-block violates the
-// pattern — conforming input is exactly what the SOGRE reordering
-// produces.
+// pattern. It returns a *ConformError for the first meta-block that
+// violates the pattern — conforming input is exactly what the SOGRE
+// reordering produces. Explicitly stored zeros are ignored: they are
+// numerically inert and, in the packed form, indistinguishable from
+// padding.
 func Compress(a *csr.Matrix, p pattern.VNM) (*Matrix, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	k := p.EffK()
-	n := a.N
-	blockRows := (n + p.V - 1) / p.V
-	out := &Matrix{N: n, P: p, K: k, BlockRowPtr: make([]int32, blockRows+1)}
-	vpb := p.V * p.N
-	for br := 0; br < blockRows; br++ {
-		rLo := br * p.V
-		rHi := rLo + p.V
-		if rHi > n {
-			rHi = n
-		}
-		// Gather, per segment, the set of used columns in this stripe
-		// of rows. Only touched segments are materialized.
-		type blockInfo struct {
-			cols []int32
-		}
-		blocks := map[int32]*blockInfo{}
-		for r := rLo; r < rHi; r++ {
-			cols, vals := a.Row(r)
-			for i, c := range cols {
-				// Explicitly stored zeros are numerically inert and not
-				// representable in the packed form (indistinguishable
-				// from padding): skip them rather than letting them
-				// consume column budget or value slots.
-				if vals[i] == 0 {
-					continue
-				}
-				seg := c / int32(p.M)
-				b := blocks[seg]
-				if b == nil {
-					b = &blockInfo{}
-					blocks[seg] = b
-				}
-				found := false
-				for _, existing := range b.cols {
-					if existing == c {
-						found = true
-						break
-					}
-				}
-				if !found {
-					b.cols = append(b.cols, c)
-				}
-			}
-		}
-		segs := make([]int32, 0, len(blocks))
-		for s := range blocks {
-			segs = append(segs, s)
-		}
-		sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
-		for _, seg := range segs {
-			b := blocks[seg]
-			if len(b.cols) > k {
-				return nil, &ConformError{BlockRow: br, Seg: int(seg), Cols: len(b.cols)}
-			}
-			sort.Slice(b.cols, func(i, j int) bool { return b.cols[i] < b.cols[j] })
-			colPos := map[int32]uint8{}
-			for i, c := range b.cols {
-				colPos[c] = uint8(i)
-			}
-			blockIdx := len(out.BlockSeg)
-			out.BlockSeg = append(out.BlockSeg, seg)
-			for i := 0; i < k; i++ {
-				if i < len(b.cols) {
-					out.BlockCols = append(out.BlockCols, b.cols[i])
-				} else {
-					out.BlockCols = append(out.BlockCols, -1)
-				}
-			}
-			out.Values = append(out.Values, make([]float32, vpb)...)
-			out.Meta = append(out.Meta, make([]uint8, vpb)...)
-			base := blockIdx * vpb
-			for r := rLo; r < rHi; r++ {
-				cols, vals := a.Row(r)
-				slot := 0
-				for i, c := range cols {
-					if vals[i] == 0 || c/int32(p.M) != seg {
-						continue
-					}
-					if slot >= p.N {
-						return nil, &ConformError{BlockRow: br, Seg: int(seg), RowNNZ: slot + 1}
-					}
-					off := base + (r-rLo)*p.N + slot
-					out.Values[off] = vals[i]
-					out.Meta[off] = colPos[c]
-					slot++
-				}
-			}
-		}
-		out.BlockRowPtr[br+1] = int32(len(out.BlockSeg))
+	out, resid := split(a, p)
+	if ce := conformError(a, resid, p); ce != nil {
+		return nil, ce
 	}
 	return out, nil
+}
+
+// conformError locates the first (block row, segment), in block-row
+// then segment order, whose residual holds a nonzero. The split drops a
+// nonzero exactly from the meta-blocks that break the pattern, so this
+// is a's first violation; it is measured on a itself. It returns nil
+// when every residual entry is an explicit zero.
+func conformError(a, resid *csr.Matrix, p pattern.VNM) *ConformError {
+	m := int32(p.M)
+	var e *ConformError
+	for r := 0; r < resid.N && (e == nil || r/p.V == e.BlockRow); r++ {
+		cols, vals := resid.Row(r)
+		for i, c := range cols {
+			if vals[i] != 0 && (e == nil || int(c/m) < e.Seg) {
+				e = &ConformError{BlockRow: r / p.V, Seg: int(c / m)}
+			}
+		}
+	}
+	if e == nil {
+		return nil
+	}
+	var used uint64 // bit c%M: column c of the segment holds a nonzero
+	for r := e.BlockRow * p.V; r < min(e.BlockRow*p.V+p.V, a.N); r++ {
+		cols, vals := a.Row(r)
+		nnz := 0
+		for i, c := range cols {
+			if vals[i] != 0 && int(c/m) == e.Seg {
+				used |= 1 << uint(c%m)
+				nnz++
+			}
+		}
+		if nnz > p.N && e.RowNNZ == 0 {
+			e.RowNNZ = nnz
+		}
+	}
+	if cols := bits.OnesCount64(used); cols > p.EffK() {
+		e.Cols, e.RowNNZ = cols, 0
+	}
+	return e
 }
 
 // DecompressError reports a structurally invalid packed entry found
@@ -262,116 +217,32 @@ func (s PruneStats) Ratio() float64 {
 	return float64(s.PrunedNNZ) / float64(s.TotalNNZ)
 }
 
-// PruneToConform implements the revised-pruned baseline: for each
-// meta-block it keeps the K columns with the largest total magnitude
-// (zeroing entries in other columns), then for each row vector keeps
-// the N largest-magnitude entries. The result conforms to the pattern
-// by construction but is lossy — exactly the error source Table 5
+// PruneToConform implements the revised-pruned baseline: a minus the
+// residual of SplitToConform. Per meta-block it keeps the K columns
+// with the largest total magnitude, then per row vector the N
+// largest-magnitude entries. The result conforms to the pattern by
+// construction but is lossy — exactly the error source Table 5
 // quantifies.
 func PruneToConform(a *csr.Matrix, p pattern.VNM) (*csr.Matrix, PruneStats, error) {
 	if err := p.Validate(); err != nil {
 		return nil, PruneStats{}, err
 	}
-	k := p.EffK()
-	n := a.N
-	keep := make([]bool, len(a.Val))
-	for i := range keep {
-		keep[i] = true
-	}
-	stats := PruneStats{TotalNNZ: a.NNZ()}
-	blockRows := (n + p.V - 1) / p.V
-	for br := 0; br < blockRows; br++ {
-		rLo := br * p.V
-		rHi := rLo + p.V
-		if rHi > n {
-			rHi = n
-		}
-		// Column magnitude per segment.
-		type colMag struct {
-			col int32
-			mag float64
-		}
-		segCols := map[int32]map[int32]float64{}
-		for r := rLo; r < rHi; r++ {
-			cols, vals := a.Row(r)
-			for i, c := range cols {
-				seg := c / int32(p.M)
-				if segCols[seg] == nil {
-					segCols[seg] = map[int32]float64{}
-				}
-				segCols[seg][c] += math.Abs(float64(vals[i]))
-			}
-		}
-		kept := map[int32]bool{}
-		for _, mags := range segCols {
-			if len(mags) <= k {
-				for c := range mags {
-					kept[c] = true
-				}
+	_, resid := split(a, p)
+	out := &csr.Matrix{N: a.N, RowPtr: make([]int32, a.N+1)}
+	for r := 0; r < a.N; r++ {
+		cols, vals := a.Row(r)
+		dropped, _ := resid.Row(r) // an ordered subsequence of cols
+		for i, c := range cols {
+			if len(dropped) > 0 && dropped[0] == c {
+				dropped = dropped[1:]
 				continue
 			}
-			list := make([]colMag, 0, len(mags))
-			for c, m := range mags {
-				list = append(list, colMag{c, m})
-			}
-			sort.Slice(list, func(i, j int) bool {
-				if list[i].mag != list[j].mag {
-					return list[i].mag > list[j].mag
-				}
-				return list[i].col < list[j].col
-			})
-			for _, cm := range list[:k] {
-				kept[cm.col] = true
-			}
-		}
-		// Apply vertical pruning, then horizontal top-N per row vector.
-		for r := rLo; r < rHi; r++ {
-			cols, vals := a.Row(r)
-			base := a.RowPtr[r]
-			// Per segment, collect surviving entries.
-			bySeg := map[int32][]int{} // local indices
-			for i, c := range cols {
-				if !kept[c] {
-					keep[base+int32(i)] = false
-					stats.PrunedNNZ++
-					continue
-				}
-				seg := c / int32(p.M)
-				bySeg[seg] = append(bySeg[seg], i)
-			}
-			for _, idxs := range bySeg {
-				if len(idxs) <= p.N {
-					continue
-				}
-				sort.Slice(idxs, func(x, y int) bool {
-					ax := math.Abs(float64(vals[idxs[x]]))
-					ay := math.Abs(float64(vals[idxs[y]]))
-					if ax != ay {
-						return ax > ay
-					}
-					return idxs[x] < idxs[y]
-				})
-				for _, i := range idxs[p.N:] {
-					keep[base+int32(i)] = false
-					stats.PrunedNNZ++
-				}
-			}
-		}
-	}
-	// Rebuild CSR with kept entries.
-	out := &csr.Matrix{N: n, RowPtr: make([]int32, n+1)}
-	for r := 0; r < n; r++ {
-		cols, vals := a.Row(r)
-		base := a.RowPtr[r]
-		for i := range cols {
-			if keep[base+int32(i)] {
-				out.ColIdx = append(out.ColIdx, cols[i])
-				out.Val = append(out.Val, vals[i])
-			}
+			out.ColIdx = append(out.ColIdx, c)
+			out.Val = append(out.Val, vals[i])
 		}
 		out.RowPtr[r+1] = int32(len(out.ColIdx))
 	}
-	return out, stats, nil
+	return out, PruneStats{TotalNNZ: a.NNZ(), PrunedNNZ: resid.NNZ()}, nil
 }
 
 // SplitToConform losslessly splits a matrix into a V:N:M-conforming
@@ -381,42 +252,167 @@ func PruneToConform(a *csr.Matrix, p pattern.VNM) (*csr.Matrix, PruneStats, erro
 // kernel run the conforming bulk while CUDA cores mop up the rest,
 // keeping execution lossless even on matrices that never fully conform.
 //
-// a may be a row window a.Window(lo, hi) of a larger matrix. Pruning
-// and compression are pure per-block-row functions, so when lo is a
-// multiple of p.V (and hi is too, or is the last row) the window's
-// split is bit-identical to the band's block rows of the whole
-// matrix's split: the same blocks, columns, values, metadata and
-// residual entries.
+// a may be a row window a.Window(lo, hi) of a larger matrix. The split
+// is a pure per-block-row function, so when lo is a multiple of p.V
+// (and hi is too, or is the last row) the window's split is
+// bit-identical to the band's block rows of the whole matrix's split:
+// the same blocks, columns, values, metadata and residual entries.
 func SplitToConform(a *csr.Matrix, p pattern.VNM) (*Matrix, *csr.Matrix, error) {
-	kept, _, err := PruneToConform(a, p)
-	if err != nil {
+	if err := p.Validate(); err != nil {
 		return nil, nil, err
 	}
-	compressed, err := Compress(kept, p)
-	if err != nil {
-		return nil, nil, err
-	}
-	// residual = a - kept (kept entries are verbatim copies, so the
-	// difference is exactly the dropped entries).
-	res := &csr.Matrix{N: a.N, RowPtr: make([]int32, a.N+1)}
-	for r := 0; r < a.N; r++ {
-		aCols, aVals := a.Row(r)
-		kCols, _ := kept.Row(r)
-		ki := 0
-		for i, c := range aCols {
-			for ki < len(kCols) && kCols[ki] < c {
-				ki++
-			}
-			if ki < len(kCols) && kCols[ki] == c {
-				ki++
-				continue
-			}
-			res.ColIdx = append(res.ColIdx, c)
-			res.Val = append(res.Val, aVals[i])
+	comp, resid := split(a, p)
+	return comp, resid, nil
+}
+
+// colMag is one column of a segment and its magnitude sum over a block
+// row; lo and hi bound its entries in the block row's sorted keys.
+type colMag struct {
+	col    int32
+	mag    float64
+	lo, hi int
+}
+
+// split makes the V:N:M decision of every block row in one pass over
+// its V CSR rows (whose columns are sorted and distinct):
+//
+//  1. stable-sort the block row's entry offsets by column;
+//  2. per segment, keep the K columns with the largest float64 |value|
+//     sum, summed in row order, ties to the lower column;
+//  3. per (row, segment), keep the N largest-magnitude entries in kept
+//     columns, ties to the lower column;
+//  4. pack each segment's surviving nonzeros into a meta-block whose
+//     columns are those holding one, and emit every dropped entry to
+//     the residual in row order.
+//
+// Surviving explicit zeros are neither packed nor residual.
+func split(a *csr.Matrix, p pattern.VNM) (*Matrix, *csr.Matrix) {
+	k := p.EffK()
+	m := int32(p.M)
+	n := a.N
+	blockRows := (n + p.V - 1) / p.V
+	vpb := p.V * p.N
+	out := &Matrix{N: n, P: p, K: k, BlockRowPtr: make([]int32, blockRows+1)}
+	res := &csr.Matrix{N: n, RowPtr: make([]int32, n+1)}
+	var (
+		keys  []uint64 // column<<32 | offset within the block row
+		keep  []bool   // per offset: the entry survives
+		row   []int    // per offset: its row within the block row
+		cands []colMag // one segment's columns
+		group []int32  // one (row, segment)'s offsets in kept columns
+	)
+	fill := make([]int, p.V) // per row: slots used in the open meta-block
+	absAt := func(off int32) float64 { return math.Abs(float64(a.Val[off])) }
+	for br := 0; br < blockRows; br++ {
+		rLo := br * p.V
+		rHi := min(rLo+p.V, n)
+		base := a.RowPtr[rLo]
+		cnt := int(a.RowPtr[rHi] - base)
+		keys = keys[:0]
+		for off := 0; off < cnt; off++ {
+			keys = append(keys, uint64(a.ColIdx[int(base)+off])<<32|uint64(off))
 		}
-		res.RowPtr[r+1] = int32(len(res.ColIdx))
+		slices.Sort(keys) // offsets are distinct, so this sort is stable
+		colOf := func(i int) int32 { return int32(keys[i] >> 32) }
+		offOf := func(i int) int32 { return base + int32(uint32(keys[i])) }
+		keep = append(keep[:0], make([]bool, cnt)...)
+		row = append(row[:0], make([]int, cnt)...)
+
+		// Vertical: the top-K columns of each segment.
+		for i := 0; i < len(keys); {
+			seg := colOf(i) / m
+			cands = cands[:0]
+			for i < len(keys) && colOf(i)/m == seg {
+				c := colMag{col: colOf(i), lo: i}
+				for ; i < len(keys) && colOf(i) == c.col; i++ {
+					c.mag += absAt(offOf(i))
+				}
+				c.hi = i
+				cands = append(cands, c)
+			}
+			if len(cands) > k {
+				slices.SortFunc(cands, func(x, y colMag) int {
+					return cmp.Or(cmp.Compare(y.mag, x.mag), cmp.Compare(x.col, y.col))
+				})
+				cands = cands[:k]
+			}
+			for _, c := range cands {
+				for j := c.lo; j < c.hi; j++ {
+					keep[offOf(j)-base] = true
+				}
+			}
+		}
+
+		// Horizontal: the top-N kept entries of each row vector; a row's
+		// survivors are then final, so its residual is emitted here.
+		for r := rLo; r < rHi; r++ {
+			lo, hi := a.RowPtr[r], a.RowPtr[r+1]
+			for off := lo; off < hi; {
+				seg := a.ColIdx[off] / m
+				group = group[:0]
+				for ; off < hi && a.ColIdx[off]/m == seg; off++ {
+					row[off-base] = r - rLo
+					if keep[off-base] {
+						group = append(group, off)
+					}
+				}
+				if len(group) > p.N {
+					slices.SortFunc(group, func(x, y int32) int {
+						return cmp.Or(cmp.Compare(absAt(y), absAt(x)), cmp.Compare(x, y))
+					})
+					for _, off := range group[p.N:] {
+						keep[off-base] = false
+					}
+				}
+			}
+			for off := lo; off < hi; off++ {
+				if !keep[off-base] {
+					res.ColIdx = append(res.ColIdx, a.ColIdx[off])
+					res.Val = append(res.Val, a.Val[off])
+				}
+			}
+			res.RowPtr[r+1] = int32(len(res.ColIdx))
+		}
+
+		// Pack: a segment's first surviving nonzero opens its meta-block;
+		// each column holding one takes the next selector.
+		for i := 0; i < len(keys); {
+			seg := colOf(i) / m
+			blk, cols := -1, 0
+			for i < len(keys) && colOf(i)/m == seg {
+				c, sel := colOf(i), -1
+				for ; i < len(keys) && colOf(i) == c; i++ {
+					off := offOf(i)
+					v := a.Val[off]
+					if !keep[off-base] || v == 0 {
+						continue
+					}
+					if blk < 0 {
+						blk = len(out.BlockSeg)
+						out.BlockSeg = append(out.BlockSeg, seg)
+						for range k {
+							out.BlockCols = append(out.BlockCols, -1)
+						}
+						out.Values = append(out.Values, make([]float32, vpb)...)
+						out.Meta = append(out.Meta, make([]uint8, vpb)...)
+						clear(fill)
+					}
+					if sel < 0 {
+						sel = cols
+						cols++
+						out.BlockCols[blk*k+sel] = c
+					}
+					dr := row[off-base]
+					slot := blk*vpb + dr*p.N + fill[dr]
+					fill[dr]++
+					out.Values[slot] = v
+					out.Meta[slot] = uint8(sel)
+				}
+			}
+		}
+		out.BlockRowPtr[br+1] = int32(len(out.BlockSeg))
 	}
-	return compressed, res, nil
+	return out, res
 }
 
 // ValidateMeta checks the structural invariants of the compressed

@@ -102,8 +102,25 @@ func TestCompressRejectsViolations(t *testing.T) {
 	if !errors.As(err, &ce) {
 		t.Fatalf("want ConformError, got %v", err)
 	}
-	if ce.RowNNZ == 0 {
-		t.Errorf("want horizontal violation, got %+v", ce)
+	if ce.BlockRow != 0 || ce.Seg != 0 || ce.Cols != 0 || ce.RowNNZ != 3 {
+		t.Errorf("want horizontal violation at (0, 0) with 3 nonzeros, got %+v", ce)
+	}
+	// RowNNZ is the row vector's nonzero count, not the first one past
+	// N: row 5 holds N+2 = 4 nonzeros in segment 1 (row 6, with N+1,
+	// comes later).
+	a2, err := csr.FromEntries(8,
+		[]int32{5, 5, 5, 5, 6, 6, 6},
+		[]int32{4, 5, 6, 7, 4, 5, 6},
+		[]float32{1, 2, 3, 4, 1, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Compress(a2, pattern.NM(2, 4))
+	if !errors.As(err, &ce) {
+		t.Fatalf("want ConformError, got %v", err)
+	}
+	if ce.BlockRow != 5 || ce.Seg != 1 || ce.Cols != 0 || ce.RowNNZ != 4 {
+		t.Errorf("want horizontal violation at (5, 1) with 4 nonzeros, got %+v", ce)
 	}
 	// Vertical violation: 5 distinct columns in a V=4, M=8, K=4 tile.
 	var rows, cols []int32
@@ -120,8 +137,11 @@ func TestCompressRejectsViolations(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = Compress(b, pattern.New(4, 2, 8))
-	if !errors.As(err, &ce) || ce.Cols == 0 {
+	if !errors.As(err, &ce) {
 		t.Fatalf("want vertical ConformError, got %v", err)
+	}
+	if ce.BlockRow != 0 || ce.Seg != 0 || ce.Cols != 5 || ce.RowNNZ != 0 {
+		t.Errorf("want vertical violation at (0, 0) with 5 columns, got %+v", ce)
 	}
 }
 
